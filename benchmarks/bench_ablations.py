@@ -226,8 +226,7 @@ def test_ablation_block_fetch_closes_dcopy_gap(benchmark, results_dir):
 def test_ablation_search_strategies(benchmark, results_dir):
     """Section 2.3's named alternatives, at equal evaluation budget."""
     from repro.machine import Context
-    from repro.search import (LineSearch, build_space, genetic_search,
-                              random_search, simulated_annealing)
+    from repro.search import LineSearch, build_space, make_searcher
     from repro.timing.timer import Timer
 
     spec = get_kernel("ddot")
@@ -249,14 +248,12 @@ def test_ablation_search_strategies(benchmark, results_dir):
         line = LineSearch(space, start,
                           output_arrays=a.output_arrays).run(ev)
         budget = line.n_evaluations
-        return {
-            "line": (line.best_cycles, line.n_evaluations),
-            "random": _res(random_search(ev, space, start, budget, seed=5)),
-            "anneal": _res(simulated_annealing(ev, space, start, budget,
-                                               seed=5)),
-            "genetic": (lambda r: (r.best_cycles, r.n_evaluations))(
-                genetic_search(ev, space, start, budget, seed=5)),
-        }
+        out = {"line": _res(line)}
+        for name in ("random", "anneal", "genetic"):
+            out[name] = _res(make_searcher(name, space, start,
+                                           max_evals=budget,
+                                           seed=5).run(ev))
+        return out
 
     def _res(r):
         return (r.best_cycles, r.n_evaluations)

@@ -195,13 +195,8 @@ def _engine_config(args, run_tester: bool) -> TuneConfig:
                       resume=getattr(args, "resume", None),
                       enable_block_fetch=getattr(args, "enable_block_fetch",
                                                  False),
-                      fast_timing=not getattr(args, "no_fast_timing", False),
-                      batch_size=getattr(args, "batch_size", 1),
-                      prefix_cache=not getattr(args, "no_prefix_cache",
-                                               False),
                       observe=getattr(args, "observe", False),
                       verify_ir=getattr(args, "verify_ir", False),
-                      test_best=getattr(args, "test_best", False),
                       warm_start=getattr(args, "warm_start", None))
 
 
@@ -236,7 +231,6 @@ def _tune_service(args) -> int:
             n=args.n, strategy=args.strategy, seed=args.seed,
             budget=args.max_evals, observe=args.observe,
             verify_ir=args.verify_ir,
-            fast_timing=not args.no_fast_timing,
             enable_block_fetch=args.enable_block_fetch,
             timeout=args.timeout, test=True)
     except ValueError as exc:
@@ -378,7 +372,6 @@ def _tune_all_via_serve(args, jobs) -> int:
             context=job.context, n=job.n,
             strategy=args.strategy, seed=args.seed, budget=args.max_evals,
             observe=args.observe, verify_ir=args.verify_ir,
-            fast_timing=not args.no_fast_timing,
             timeout=args.timeout, test=args.test)
         try:
             tickets.append((job, client.submit(request)))
@@ -657,17 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a JSONL search trace to FILE")
         p.add_argument("--timeout", type=float, default=None,
                        help="wall-clock seconds allowed per evaluation")
-        p.add_argument("--no-fast-timing", action="store_true",
-                       help="disable the timing model's steady-state "
-                            "extrapolation (bit-identical, just slower)")
-        p.add_argument("--batch-size", type=int, default=1, metavar="K",
-                       help="evaluate candidates in prefix-sharing groups "
-                            "of at most K (bit-identical for every value; "
-                            "1 = per-candidate dispatch)")
-        p.add_argument("--no-prefix-cache", action="store_true",
-                       help="disable prefix-memoized compilation and "
-                            "shared-walk timing (bit-identical, just "
-                            "slower — the equivalence escape hatch)")
         p.add_argument("--observe", action="store_true",
                        help="record pass-level compile spans and cycle "
                             "attribution into the trace (schema v2; "
@@ -676,10 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the IR verifier at every pass boundary "
                             "of every evaluation's compile "
                             "(non-perturbing; a violation fails loudly)")
-        p.add_argument("--test-best", action="store_true",
-                       help="tester-check the winning kernel before it "
-                            "is reported; a rejection is recorded as a "
-                            "best-rejected trace event")
         if resume:
             p.add_argument("--resume", default=None, metavar="FILE",
                            help="checkpoint completed jobs to FILE and "

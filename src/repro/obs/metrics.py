@@ -280,10 +280,6 @@ for _name, _help in (
      "Wall time per engine evaluation round-trip"),
     ("repro_evals_per_sec",
      "Most recent evaluation throughput (per batch or per daemon job)"),
-    ("repro_batch_groups_total",
-     "Prefix-sharing evaluation groups dispatched"),
-    ("repro_batch_group_size",
-     "Candidates per prefix-sharing evaluation group"),
     ("repro_batch_prefix_hits_total",
      "Batched compiles answered by the prefix-memoized IR cache"),
     ("repro_batch_prefix_misses_total",

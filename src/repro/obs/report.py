@@ -210,10 +210,6 @@ def render_report(events: List[Dict], title: Optional[str] = None) -> str:
                   f"- batch.prefix_misses: {batch['prefix_misses']}",
                   f"- batch.walk_hits (shared timing walks): "
                   f"{batch.get('walk_hits', 0)}"]
-        if batch.get("groups"):
-            lines.append(f"- batch.size: {batch['mean_size']:.1f} mean "
-                         f"({batch['size_total']} candidates over "
-                         f"{batch['groups']} prefix-sharing groups)")
     bad = {k: v for k, v in summary["statuses"].items() if k != "ok"}
     if bad:
         lines.append("- non-ok evaluations: "

@@ -12,11 +12,11 @@ evaluation cache (:mod:`~repro.search.evalcache`), JSONL search traces
 
 from .space import (DEFAULT_AES, DEFAULT_DIST_LINES, DEFAULT_UNROLLS,
                     SearchSpace, build_space)
-from .strategies import (SEARCHERS, AnnealSearch, BatchEvaluator, Evaluator,
-                         ExhaustiveSearch, GeneticSearch, RandomSearch,
-                         Searcher, SurrogateSearch, TransferSearch,
-                         make_searcher, register_searcher, searcher_names,
-                         split_strategy, valid_strategy)
+from .strategies import (SEARCHERS, AnnealSearch, Evaluator, ExhaustiveSearch,
+                         GeneticSearch, RandomSearch, Searcher,
+                         SurrogateSearch, TransferSearch, make_searcher,
+                         register_searcher, searcher_names, split_strategy,
+                         valid_strategy)
 from .warmstart import (WarmEntry, load_entries, lookup_warm_start,
                         write_warm_entry)
 from .linesearch import PHASES, LineSearch, SearchResult
@@ -29,8 +29,6 @@ from .scheduler import BudgetLedger, FairQueue, InflightTable, Scheduler
 from .trace import (TRACE_VERSION, TraceEvents, TraceStream,
                     TraceWriter, read_trace, render_trace_summary,
                     summarize_trace)
-from .alternatives import (STRATEGIES, exhaustive_search, genetic_search,
-                           random_search, simulated_annealing)
 
 __all__ = ["DEFAULT_AES", "DEFAULT_DIST_LINES", "DEFAULT_UNROLLS",
            "SearchSpace", "build_space", "SEARCHERS", "Searcher",
@@ -39,7 +37,7 @@ __all__ = ["DEFAULT_AES", "DEFAULT_DIST_LINES", "DEFAULT_UNROLLS",
            "AnnealSearch", "ExhaustiveSearch", "GeneticSearch",
            "RandomSearch", "SurrogateSearch", "TransferSearch",
            "WarmEntry", "load_entries", "lookup_warm_start",
-           "write_warm_entry", "PHASES", "BatchEvaluator",
+           "write_warm_entry", "PHASES",
            "Evaluator", "LineSearch", "SearchResult", "TuneConfig",
            "TunedKernel", "compile_default", "tune_kernel",
            "BatchResult", "EngineStats", "TuningJob", "TuningSession",
@@ -47,5 +45,4 @@ __all__ = ["DEFAULT_AES", "DEFAULT_DIST_LINES", "DEFAULT_UNROLLS",
            "BudgetLedger", "FairQueue", "InflightTable", "Scheduler",
            "TRACE_VERSION", "TraceEvents", "TraceWriter",
            "read_trace", "render_trace_summary", "TraceStream",
-           "summarize_trace", "STRATEGIES", "exhaustive_search",
-           "genetic_search", "random_search", "simulated_annealing"]
+           "summarize_trace"]

@@ -30,7 +30,9 @@ class TuneConfig:
     max_evals: int = 400
     #: explicit search space (default: built from FKO's analysis)
     space: Optional["SearchSpace"] = None
-    #: verify the winning kernel against the NumPy reference
+    #: verify the winning kernel against the NumPy reference; a failure
+    #: emits a ``best-rejected`` trace event (when tracing) and raises
+    #: :class:`~repro.errors.KernelTestFailure`
     run_tester: bool = True
     #: starting point (default: FKO's static defaults)
     start: Optional["TransformParams"] = None
@@ -57,10 +59,6 @@ class TuneConfig:
     #: seed of the strategy's random stream (the line search ignores it
     #: — the sweep is deterministic by construction)
     seed: int = 0
-    #: steady-state extrapolation in the timing model (bit-identical to
-    #: the full walk; False forces the full per-line walk everywhere —
-    #: the escape hatch the equivalence suite exercises)
-    fast_timing: bool = True
     #: collect pass-level compile spans and cycle attribution per eval
     #: and fold them into the trace (schema v2 ``pass`` / ``attribution``
     #: events).  Observation never perturbs results: cycles, cache keys
@@ -71,23 +69,6 @@ class TuneConfig:
     #: observes: cycles, cache keys and search decisions are
     #: bit-identical with it on or off — a violation raises instead
     verify_ir: bool = False
-    #: tester-check the winning kernel before it is returned/stored; a
-    #: failure emits a ``best-rejected`` trace event and raises
-    #: :class:`~repro.errors.KernelTestFailure` (``run_tester`` does the
-    #: same check silently — ``test_best`` is the audited spelling)
-    test_best: bool = False
-    #: evaluation grouping grain: candidates of one search round are
-    #: partitioned into prefix-sharing groups of at most this many and
-    #: evaluated group-at-a-time (one worker payload per group under
-    #: ``jobs > 1``).  Purely an evaluation-order/transport choice —
-    #: cycles, cache keys, traces and search decisions are bit-identical
-    #: for every value; 1 = today's per-candidate dispatch
-    batch_size: int = 1
-    #: the compiler's prefix-memoized compilation + the timer's shared
-    #: walks (both bit-identical by construction; False forces every
-    #: evaluation through the full pipeline and its own walk — the
-    #: escape hatch the equivalence suite exercises)
-    prefix_cache: bool = True
     #: directory of a ``repro serve`` result store to warm-start from:
     #: the engine wraps the strategy in the transfer layer and seeds it
     #: with the best params of the nearest previously-tuned problem
@@ -110,9 +91,6 @@ class TuneConfig:
         # search would thrash between equivalent points
         if self.min_gain < 0:
             raise ValueError(f"min_gain must be >= 0, got {self.min_gain}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, "
-                             f"got {self.batch_size}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
                 or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, "

@@ -50,7 +50,6 @@ import signal
 import tempfile
 import threading
 import time
-import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -183,7 +182,8 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
 
 
 # ---------------------------------------------------------------------------
-# pool workers (top-level so they pickle by name; the per-process
+# the one evaluation loop: in-process, or one candidate per pool payload
+# (pool workers are top-level so they pickle by name; the per-process
 # FKO/Timer pairs are memoized because every candidate of a sweep
 # shares them — bounded, because a long tune-all batch walks many
 # (machine, context, N) combinations through the same worker)
@@ -192,76 +192,42 @@ _WORKER_FKOS = LRUCache(maxsize=4)
 _WORKER_TOOLS = LRUCache(maxsize=8)
 
 
-def _worker_tools(machine_name: str, context_value: str, n: int,
-                  fast: bool = True,
-                  prefix_cache: bool = True) -> Tuple[FKO, Timer]:
+def _worker_tools(machine_name: str, context_value: str,
+                  n: int) -> Tuple[FKO, Timer]:
     # the FKO is keyed by machine alone: its compile caches are
     # context-independent, so sharing one instance across a job's
     # contexts halves the distinct compiles of an (OOC, in-L2) sweep
-    fkey = (machine_name, bool(prefix_cache))
-    fko = _WORKER_FKOS.get(fkey)
+    fko = _WORKER_FKOS.get(machine_name)
     if fko is None:
-        fko = FKO(get_machine(machine_name), prefix_cache=prefix_cache)
-        _WORKER_FKOS.put(fkey, fko)
-    tkey = (machine_name, context_value, int(n), bool(fast))
+        fko = FKO(get_machine(machine_name))
+        _WORKER_FKOS.put(machine_name, fko)
+    tkey = (machine_name, context_value, int(n))
     timer = _WORKER_TOOLS.get(tkey)
     if timer is None:
-        timer = Timer(get_machine(machine_name), Context(context_value),
-                      n, fast=fast)
+        timer = Timer(get_machine(machine_name), Context(context_value), n)
         _WORKER_TOOLS.put(tkey, timer)
     return fko, timer
 
 
-def _run_one(fko: FKO, timer: Timer, payload: Dict,
-             params: TransformParams) -> Dict:
-    t0 = time.perf_counter()
-    cycles, status, meta = evaluate_params(fko, timer, payload["hil"],
-                                           params, payload["flops"],
-                                           payload["ident"],
-                                           payload["timeout"],
-                                           observe=payload.get("observe",
-                                                               False),
-                                           verify_ir=payload.get("verify_ir",
-                                                                 False))
-    out = {"cycles": cycles, "status": status,
-           "wall": time.perf_counter() - t0, "fast": meta.get("fast")}
-    if payload.get("observe"):
-        out["passes"] = meta.get("passes")
-        out["attribution"] = meta.get("attribution")
-    return out
-
-
-def _eval_worker(payload: Dict) -> Dict:
-    """Evaluate one candidate in a worker (within-sweep fan-out)."""
-    fko, timer = _worker_tools(payload["machine"], payload["context"],
-                               payload["n"], payload.get("fast", True),
-                               payload.get("prefix_cache", True))
+def _evaluate_list(fko: FKO, timer: Timer, payload: Dict) -> Dict:
+    """Evaluate ``payload["params"]`` (a list) in order on one
+    (FKO, Timer) pair.  Returns the per-candidate outcomes plus the
+    compile-prefix and shared-walk reuse-counter deltas, so the
+    parent's counters stay batch-wide whoever ran the list."""
     before = fko.cache_stats()
     tbefore = timer.cache_stats()
-    out = _run_one(fko, timer, payload,
-                   TransformParams.from_dict(payload["params"]))
-    after = fko.cache_stats()
-    tafter = timer.cache_stats()
-    out["batch_prefix_hits"] = after["prefix_hits"] - before["prefix_hits"]
-    out["batch_prefix_misses"] = (after["prefix_misses"]
-                                  - before["prefix_misses"])
-    out["batch_walk_hits"] = tafter["base_hits"] - tbefore["base_hits"]
-    return out
-
-
-def _eval_group_worker(payload: Dict) -> Dict:
-    """Evaluate one prefix-sharing candidate group in a worker.  The
-    group shares the worker FKO's compile caches and the worker timer's
-    walk cache within a single payload, and ships the reuse-counter
-    deltas home so the parent's batch counters stay batch-wide."""
-    fko, timer = _worker_tools(payload["machine"], payload["context"],
-                               payload["n"], payload.get("fast", True),
-                               payload.get("prefix_cache", True))
-    before = fko.cache_stats()
-    tbefore = timer.cache_stats()
-    outcomes = [_run_one(fko, timer, payload,
-                         TransformParams.from_dict(p))
-                for p in payload["params_list"]]
+    outcomes = []
+    for params in payload["params"]:
+        t0 = time.perf_counter()
+        cycles, status, meta = evaluate_params(
+            fko, timer, payload["hil"], params, payload["flops"],
+            payload["ident"], payload["timeout"],
+            observe=payload["observe"], verify_ir=payload["verify_ir"])
+        outcomes.append({"cycles": cycles, "status": status,
+                         "wall": time.perf_counter() - t0,
+                         "fast": meta.get("fast"),
+                         "passes": meta.get("passes"),
+                         "attribution": meta.get("attribution")})
     after = fko.cache_stats()
     tafter = timer.cache_stats()
     return {"outcomes": outcomes,
@@ -272,13 +238,20 @@ def _eval_group_worker(payload: Dict) -> Dict:
             "batch_walk_hits": tafter["base_hits"] - tbefore["base_hits"]}
 
 
+def _eval_worker(payload: Dict) -> Dict:
+    """Evaluate one payload's candidates in a worker (within-sweep
+    fan-out) on the worker's memoized tools."""
+    fko, timer = _worker_tools(payload["machine"], payload["context"],
+                               payload["n"])
+    return _evaluate_list(fko, timer, payload)
+
+
 def _job_worker(payload: Dict) -> Dict:
     """Run one whole tuning job serially in a worker (job-level
     fan-out).  Trace events are buffered and shipped back so the parent
     stays the only writer of the trace file."""
     job = TuningJob.from_dict(payload["job"])
-    config = TuneConfig(jobs=1, trace=None, resume=None,
-                        **payload["config"])
+    config = payload["config"].replace(jobs=1, trace=None, resume=None)
     with TuningSession(config, buffer_events=True) as session:
         try:
             tuned = session.tune(job.kernel, job.machine, job.context, job.n,
@@ -370,8 +343,6 @@ class EngineStats:
     batch_prefix_hits: int = 0
     batch_prefix_misses: int = 0
     batch_walk_hits: int = 0
-    batch_groups: int = 0      # evaluation groups dispatched
-    batch_size_total: int = 0  # candidates across those groups
 
     def to_dict(self) -> Dict:
         return dict(self.__dict__)
@@ -414,7 +385,7 @@ class BatchResult:
 
 
 # ---------------------------------------------------------------------------
-# the cache-, trace- and fault-aware evaluator handed to LineSearch
+# the cache-, trace- and fault-aware evaluator behind the ask/tell loop
 
 class _Evaluator:
     def __init__(self, session: "TuningSession", spec: KernelSpec,
@@ -440,57 +411,33 @@ class _Evaluator:
         return eval_key(self.spec.hil, self.machine.name, self.context,
                         self.n, params.key(), __version__)
 
-    def __call__(self, params: TransformParams) -> float:
-        return self.many([params])[0]
-
-    def _base_payload(self) -> Dict:
-        session = self.session
+    def _payload(self, params: List[TransformParams]) -> Dict:
+        config = self.session.config
         return {"hil": self.spec.hil, "machine": self.machine.name,
                 "context": self.context.value, "n": self.n,
                 "flops": self.flops, "ident": self.ident,
-                "timeout": session.config.timeout,
-                "fast": session.config.fast_timing,
-                "observe": session.config.observe,
-                "verify_ir": session.config.verify_ir,
-                "prefix_cache": session.config.prefix_cache}
-
-    def _groups_to_run(self, batch: List[TransformParams],
-                       groups: Optional[List[List[TransformParams]]],
-                       to_run: List[int]) -> List[List[int]]:
-        """Project the searcher's evaluation groups onto the indices
-        that still need real evaluations (cache hits drop out), in
-        group order.  Without groups, every candidate is its own
-        group — today's per-candidate dispatch."""
-        if not groups:
-            return [[i] for i in to_run]
-        pos = {batch[i].key(): i for i in to_run}
-        out = []
-        for group in groups:
-            idxs = [pos[p.key()] for p in group if p.key() in pos]
-            if idxs:
-                out.append(idxs)
-        return out
+                "timeout": config.timeout, "observe": config.observe,
+                "verify_ir": config.verify_ir, "params": params}
 
     _BATCH_KEYS = (("batch_prefix_hits", "repro_batch_prefix_hits_total"),
                    ("batch_prefix_misses", "repro_batch_prefix_misses_total"),
                    ("batch_walk_hits", "repro_batch_walk_hits_total"))
 
-    def _charge_batch(self, src: Dict) -> None:
-        """Fold a worker's (or the serial path's) cache-reuse counter
-        deltas into the session stats and the metrics registry."""
+    def _charge_batch(self, reply: Dict) -> None:
+        """Fold one evaluation list's cache-reuse counter deltas into
+        the session stats and the metrics registry."""
         stats = self.session.stats
         for key, metric in self._BATCH_KEYS:
-            v = int(src.get(key) or 0)
+            v = int(reply.get(key) or 0)
             if v:
                 setattr(stats, key, getattr(stats, key) + v)
                 _metrics.inc(metric, v)
 
-    def many(self, batch: List[TransformParams],
-             groups: Optional[List[List[TransformParams]]] = None
-             ) -> List[float]:
+    def many(self, batch: List[TransformParams]) -> List[float]:
         session = self.session
         cycles: List[Optional[float]] = [None] * len(batch)
 
+        # 1. the persistent eval cache, in ask order
         to_run: List[int] = []
         digests = [self._digest(p) for p in batch]
         for i, params in enumerate(batch):
@@ -505,76 +452,29 @@ class _Evaluator:
             else:
                 to_run.append(i)
 
-        run_groups = self._groups_to_run(batch, groups, to_run)
-        if groups:
-            session.stats.batch_groups += len(run_groups)
-            session.stats.batch_size_total += len(to_run)
-            if _metrics._ENABLED:
-                _metrics.inc("repro_batch_groups_total", len(run_groups))
-                for idxs in run_groups:
-                    _metrics.observe("repro_batch_group_size", len(idxs))
-        outcomes: Dict[int, Dict] = {}
-
+        # 2./3. the misses: one pool payload per candidate, or the whole
+        # list in-process on the session's tools (no pool, or it died)
+        replies: Optional[List[Dict]] = None
         pool = session.pool() if len(to_run) > 1 else None
         if pool is not None:
-            base = self._base_payload()
             try:
-                if groups:
-                    payloads = [dict(base, params_list=[batch[i].to_dict()
-                                                        for i in idxs])
-                                for idxs in run_groups]
-                    replies = list(pool.map(_eval_group_worker, payloads))
-                    for idxs, reply in zip(run_groups, replies):
-                        self._charge_batch(reply)
-                        for i, outcome in zip(idxs, reply["outcomes"]):
-                            outcomes[i] = outcome
-                else:
-                    payloads = [dict(base, params=batch[i].to_dict())
-                                for i in to_run]
-                    for i, outcome in zip(to_run,
-                                          pool.map(_eval_worker, payloads)):
-                        self._charge_batch(outcome)
-                        outcomes[i] = outcome
+                replies = list(pool.map(
+                    _eval_worker, [self._payload([batch[i]])
+                                   for i in to_run]))
             except BrokenProcessPool:
                 session.mark_pool_broken(self.job)
-                outcomes.clear()
+        if replies is None:
+            replies = [_evaluate_list(self.fko, self.timer, self._payload(
+                [batch[i] for i in to_run]))]
+        outcomes: List[Dict] = []
+        for reply in replies:
+            self._charge_batch(reply)
+            outcomes.extend(reply["outcomes"])
 
-        if len(outcomes) < len(to_run):
-            # serial path, and fallback after a dead pool: evaluate in
-            # group order (prefix-sharing candidates adjacent), record
-            # in ask order below
-            before = self.fko.cache_stats()
-            tbefore = self.timer.cache_stats()
-            for idxs in run_groups:
-                for i in idxs:
-                    if i in outcomes:
-                        continue
-                    t0 = time.perf_counter()
-                    c, status, meta = evaluate_params(
-                        self.fko, self.timer, self.spec.hil, batch[i],
-                        self.flops, self.ident, session.config.timeout,
-                        observe=session.config.observe,
-                        verify_ir=session.config.verify_ir)
-                    outcomes[i] = {"cycles": c, "status": status,
-                                   "wall": time.perf_counter() - t0,
-                                   "fast": meta.get("fast"),
-                                   "passes": meta.get("passes"),
-                                   "attribution": meta.get("attribution")}
-            after = self.fko.cache_stats()
-            tafter = self.timer.cache_stats()
-            self._charge_batch({
-                "batch_prefix_hits": after["prefix_hits"]
-                - before["prefix_hits"],
-                "batch_prefix_misses": after["prefix_misses"]
-                - before["prefix_misses"],
-                "batch_walk_hits": tafter["base_hits"]
-                - tbefore["base_hits"]})
-
-        # record strictly in ask order, whoever computed the numbers —
+        # 4. record strictly in ask order, whoever computed the numbers —
         # trace rows, eval-cache writes and stats are order-identical
-        # to per-candidate dispatch
-        for i in to_run:
-            cycles[i] = self._record(batch[i], digests[i], outcomes[i])
+        for i, outcome in zip(to_run, outcomes):
+            cycles[i] = self._record(batch[i], digests[i], outcome)
         return cycles
 
     def _record(self, params: TransformParams, digest: str,
@@ -644,14 +544,7 @@ class TuningSession:
     """
 
     def __init__(self, config: Optional[TuneConfig] = None,
-                 buffer_events: bool = False, *,
-                 collect_events: Optional[bool] = None):
-        if collect_events is not None:
-            warnings.warn(
-                "TuningSession(collect_events=...) is deprecated and will "
-                "be removed after one release; use buffer_events=...",
-                DeprecationWarning, stacklevel=2)
-            buffer_events = collect_events
+                 buffer_events: bool = False):
         self.config = config or TuneConfig()
         self.cache = (EvalCache(self.config.cache_dir)
                       if self.config.cache_dir else None)
@@ -714,14 +607,12 @@ class TuningSession:
         # (machine, context, n)
         fko = self._fkos.get(machine.name)
         if fko is None:
-            fko = FKO(machine, prefix_cache=self.config.prefix_cache)
+            fko = FKO(machine)
             self._fkos.put(machine.name, fko)
-        key = (machine.name, context.value, int(n),
-               self.config.fast_timing)
+        key = (machine.name, context.value, int(n))
         timer = self._tools.get(key)
         if timer is None:
-            timer = Timer(machine, context, n,
-                          fast=self.config.fast_timing)
+            timer = Timer(machine, context, n)
             self._tools.put(key, timer)
         return fko, timer
 
@@ -801,19 +692,10 @@ class TuningSession:
                       store=config.warm_start,
                       source=warm_kwargs.get("warm_source") or None,
                       candidates=len(warm_kwargs.get("warm") or ()))
-        prefix_of = None
-        if config.batch_size > 1:
-            from ..fko import prefix_key
-
-            def prefix_of(p: TransformParams):
-                return prefix_key(p, analysis,
-                                  debug_verify=config.verify_ir)
         best_prev = float("inf")
         while not searcher.finished:
             batch = searcher.ask()
-            groups = (searcher.ask_batch(config.batch_size, key=prefix_of)
-                      if config.batch_size > 1 else None)
-            cycles = evaluator.many(batch, groups=groups)
+            cycles = evaluator.many(batch)
             searcher.tell(list(zip(batch, cycles)))
             # convergence telemetry: one best-so-far sample per tell.
             # Emitted off-path (nothing in the search reads it) and with
@@ -833,18 +715,16 @@ class TuningSession:
 
         compiled = fko.compile(spec.hil, result.best_params,
                                debug_verify=config.verify_ir)
-        if (config.run_tester or config.test_best) and spec.name in REGISTRY:
+        if config.run_tester and spec.name in REGISTRY:
             try:
                 test_kernel(compiled, spec)
             except KernelTestFailure as exc:
                 # the winner failed the tester: never hand it back as a
                 # "fast" kernel — record the rejection in the trace and
                 # surface the failure
-                if config.test_best:
-                    self.emit("best-rejected", job=evaluator.job,
-                              params=result.best_params.describe(),
-                              best_cycles=result.best_cycles,
-                              error=str(exc))
+                self.emit("best-rejected", job=evaluator.job,
+                          params=result.best_params.describe(),
+                          best_cycles=result.best_cycles, error=str(exc))
                 raise
         timing = timer.time(compiled, spec)
         self.emit("job-end", job=evaluator.job,
@@ -853,9 +733,7 @@ class TuningSession:
                   params=result.best_params.describe(),
                   batch_prefix_hits=self.stats.batch_prefix_hits,
                   batch_prefix_misses=self.stats.batch_prefix_misses,
-                  batch_walk_hits=self.stats.batch_walk_hits,
-                  batch_groups=self.stats.batch_groups,
-                  batch_size_total=self.stats.batch_size_total)
+                  batch_walk_hits=self.stats.batch_walk_hits)
         self.stats.jobs_completed += 1
         return TunedKernel(spec=spec, machine=machine, context=context, n=n,
                            compiled=compiled, timing=timing, search=result)
@@ -920,9 +798,8 @@ class TuningSession:
         retry_serially: List[TuningJob] = []
         pool = self.pool() if len(pending) > 1 else None
         if pool is not None:
-            blob = self._worker_config()
-            futures = {pool.submit(_job_worker,
-                                   {"job": job.to_dict(), "config": blob}):
+            futures = {pool.submit(_job_worker, {"job": job.to_dict(),
+                                                 "config": self.config}):
                        job for job in pending}
             try:
                 for fut in concurrent.futures.as_completed(futures):
@@ -962,9 +839,7 @@ class TuningSession:
                   fast_path=stats.fast_path, slow_path=stats.slow_path,
                   batch_prefix_hits=stats.batch_prefix_hits,
                   batch_prefix_misses=stats.batch_prefix_misses,
-                  batch_walk_hits=stats.batch_walk_hits,
-                  batch_groups=stats.batch_groups,
-                  batch_size_total=stats.batch_size_total)
+                  batch_walk_hits=stats.batch_walk_hits)
         return BatchResult(results=results, errors=errors, resumed=resumed,
                            wall=wall)
 
@@ -985,26 +860,6 @@ class TuningSession:
         else:
             errors[key] = outcome.get("error") or "unknown worker failure"
             self.emit("job-error", job=key, error=errors[key])
-
-    def _worker_config(self) -> Dict:
-        """The picklable TuneConfig subset a job worker rebuilds from
-        (space/start stay parent-side: batch jobs are registry kernels
-        whose space comes from their own analysis)."""
-        return {"max_evals": self.config.max_evals,
-                "run_tester": self.config.run_tester,
-                "cache_dir": self.config.cache_dir,
-                "timeout": self.config.timeout,
-                "enable_block_fetch": self.config.enable_block_fetch,
-                "min_gain": self.config.min_gain,
-                "strategy": self.config.strategy,
-                "seed": self.config.seed,
-                "fast_timing": self.config.fast_timing,
-                "observe": self.config.observe,
-                "verify_ir": self.config.verify_ir,
-                "test_best": self.config.test_best,
-                "batch_size": self.config.batch_size,
-                "prefix_cache": self.config.prefix_cache,
-                "warm_start": self.config.warm_start}
 
     # -- checkpointing --------------------------------------------------
     def _load_checkpoint(self) -> Dict[str, Dict]:

@@ -42,8 +42,7 @@ from ..ir import PrefetchHint
 from ..fko.params import TransformParams
 from ..util import check_schema
 from .space import dim_get, dim_set
-from .strategies import (BatchEvaluator, Evaluator, Plan, Searcher,
-                         register_searcher)
+from .strategies import Plan, Searcher, register_searcher
 
 #: phase names in Figure 7's legend order (BF is this reproduction's
 #: extension: the block-fetch transform the paper lists as planned)

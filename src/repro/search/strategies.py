@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import (Callable, Dict, Generator, Hashable, List, Optional,
-                    Sequence, Tuple, Type)
+from typing import (Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple, Type)
 
 import numpy as np
 
@@ -53,10 +53,6 @@ from ..ir import PrefetchHint
 from .space import Dimension, SearchSpace, dim_get, dim_set
 
 Evaluator = Callable[[TransformParams], float]   # -> cycles (lower = better)
-#: optional vectorized evaluator: a whole candidate list at once (the
-#: engine fans these across its worker pool); must return cycles in the
-#: same order as its input
-BatchEvaluator = Callable[[List[TransformParams]], List[float]]
 
 #: what a plan yields (candidates) and receives (their cycles)
 Plan = Generator[List[TransformParams], List[float], None]
@@ -116,38 +112,6 @@ class Searcher:
             raise SearchError(f"{self.name} search already finished")
         return [params for _, params, _ in self._fresh]
 
-    def ask_batch(self, limit: int = 0,
-                  key: Optional[Callable[[TransformParams], Hashable]]
-                  = None) -> List[List[TransformParams]]:
-        """The current :meth:`ask` batch, partitioned into evaluation
-        groups: candidates with equal ``key(params)`` land in the same
-        group (groups ordered by each key's first occurrence, members
-        in ask order), and every group holds at most ``limit``
-        candidates (0 = uncapped).  The default key is the fixed-order
-        pipeline's early-transform prefix, so a group shares compile
-        work up to the post-AE snapshot.
-
-        This is purely an evaluation-*order* hint for batched
-        evaluators: the flattened groups are a permutation of
-        :meth:`ask`, budget charging stays in ask order, and
-        :meth:`tell` still expects results in ask order — so grouping
-        can never change a search decision."""
-        batch = self.ask()
-        if key is None:
-            def key(p: TransformParams) -> Hashable:
-                return (p.sv, p.unroll, p.lc, p.ae)
-        buckets: Dict[Hashable, List[TransformParams]] = {}
-        for params in batch:            # dict preserves first-occurrence
-            buckets.setdefault(key(params), []).append(params)
-        groups: List[List[TransformParams]] = []
-        for members in buckets.values():
-            if limit and limit > 0:
-                groups.extend(members[i:i + limit]
-                              for i in range(0, len(members), limit))
-            else:
-                groups.append(members)
-        return groups
-
     def tell(self, results: Sequence[Tuple[TransformParams, float]]) -> None:
         """Report cycles for the batch from :meth:`ask`, same order.
         Accepts ``(params, cycles)`` pairs (or bare cycle floats)."""
@@ -184,19 +148,11 @@ class Searcher:
                             history=self.history)
 
     # -- convenience driver (serial callers, tests, examples) -----------
-    def run(self, evaluate: Evaluator,
-            evaluate_many: Optional[BatchEvaluator] = None
-            ) -> "SearchResult":
-        """Drive ask/tell to completion against a plain evaluator.
-        ``evaluate_many`` (when given) receives every multi-candidate
-        batch — the engine points it at its worker pool."""
+    def run(self, evaluate: Evaluator) -> "SearchResult":
+        """Drive ask/tell to completion against a plain evaluator."""
         while not self._finished:
             batch = self.ask()
-            if evaluate_many is not None and len(batch) > 1:
-                cycles = evaluate_many(batch)
-            else:
-                cycles = [evaluate(p) for p in batch]
-            self.tell(list(zip(batch, cycles)))
+            self.tell([(p, evaluate(p)) for p in batch])
         return self.result()
 
     # -- plan plumbing --------------------------------------------------
@@ -780,8 +736,7 @@ class SurrogateSearch(Searcher):
     baseline coverage the never-lose-to-random invariant depends on.
 
     Batch order inside a round (EI picks first, immigrants last) is a
-    pure evaluation hint: the base class charges budget in ask order
-    and ``ask_batch`` prefix grouping applies unchanged.
+    pure evaluation hint: the base class charges budget in ask order.
 
     The default split is deliberately conservative (``explore=0.8``):
     the simulated machines are noise-free, so a long mirror prefix

@@ -43,12 +43,11 @@ curve        job, strategy, seed, round, evaluations, best_cycles,
              are deterministic, so jobs=1 and jobs=N traces carry
              identical curves
 best-rejected  job, params, best_cycles, error — the search's winning
-             kernel failed the tester (``TuneConfig.test_best``); the
-             job raises instead of storing the kernel
+             kernel failed the tester (``TuneConfig.run_tester``);
+             the job raises instead of storing the kernel
 job-end      job, best_cycles, evaluations, mflops, params, plus the
              session-cumulative batched-evaluation counters
-             batch_prefix_hits/misses, batch_walk_hits, batch_groups,
-             batch_size_total
+             batch_prefix_hits/misses, batch_walk_hits
 job-resumed  job (reloaded from a checkpoint, no search ran)
 job-error    job, error
 pool-broken  job (optional) — worker pool died, run fell back serial
@@ -230,8 +229,7 @@ def summarize_trace(events) -> Dict:
     # batched-evaluation counters are emitted cumulatively on job-end /
     # batch-end, so the latest carrier in file order holds the totals
     # (batch-end, the merged batch-wide view, always comes last)
-    batch = {"prefix_hits": 0, "prefix_misses": 0, "walk_hits": 0,
-             "groups": 0, "size_total": 0}
+    batch = {"prefix_hits": 0, "prefix_misses": 0, "walk_hits": 0}
     jobs: Dict[str, Dict] = {}
 
     def job_entry(key):
@@ -288,9 +286,7 @@ def summarize_trace(events) -> Dict:
             "cache_hit_rate": (n_hits / seen) if seen else 0.0,
             "fast_path": fast_path,
             "slow_path": slow_path,
-            "batch": dict(batch,
-                          mean_size=(batch["size_total"] / batch["groups"]
-                                     if batch["groups"] else 0.0)),
+            "batch": batch,
             "statuses": dict(statuses),
             "phases": dict(phases),
             "jobs": jobs}

@@ -499,11 +499,7 @@ class JobManager:
                         "batch.prefix_misses":
                             engine.get("batch_prefix_misses", 0),
                         "batch.walk_hits":
-                            engine.get("batch_walk_hits", 0),
-                        "batch.size": (
-                            engine.get("batch_size_total", 0)
-                            / engine["batch_groups"]
-                            if engine.get("batch_groups") else 0.0)},
+                            engine.get("batch_walk_hits", 0)},
                     "budget": self.ledger.to_dict(),
                     "config": self.config.to_public_dict()}
 

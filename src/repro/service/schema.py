@@ -95,7 +95,6 @@ class TuneRequest:
     budget: int = 400
     observe: bool = False
     verify_ir: bool = False
-    fast_timing: bool = True
     min_gain: float = 0.005
     enable_block_fetch: bool = False
     timeout: Optional[float] = None
@@ -124,7 +123,6 @@ class TuneRequest:
                 "strategy": self.strategy, "seed": int(self.seed),
                 "budget": int(self.budget), "observe": bool(self.observe),
                 "verify_ir": bool(self.verify_ir),
-                "fast_timing": bool(self.fast_timing),
                 "min_gain": float(self.min_gain),
                 "enable_block_fetch": bool(self.enable_block_fetch),
                 "timeout": self.timeout, "test": bool(self.test)}
@@ -153,7 +151,6 @@ class TuneRequest:
             max_evals=int(self.budget), strategy=self.strategy,
             seed=int(self.seed), observe=bool(self.observe),
             verify_ir=bool(self.verify_ir),
-            fast_timing=bool(self.fast_timing),
             min_gain=float(self.min_gain),
             enable_block_fetch=bool(self.enable_block_fetch),
             timeout=self.timeout, run_tester=bool(self.test),
@@ -172,7 +169,7 @@ class TuneRequest:
         kw = {}
         for name in ("kernel", "machine", "context", "n", "strategy",
                      "seed", "budget", "observe", "verify_ir",
-                     "fast_timing", "min_gain", "enable_block_fetch",
+                     "min_gain", "enable_block_fetch",
                      "timeout", "test"):
             if name in data:
                 kw[name] = data[name]

@@ -1,27 +1,29 @@
 """Batched candidate evaluation: bit-identity, sharing, validation.
 
 The batched evaluator's contract is that batching is an evaluation
-*throughput* optimization only: prefix-memoized compilation, shared
-steady-state walks and grouped dispatch must never change a single
-cycle count, history entry or cache key.  These tests pin that contract
-from four sides — end-to-end search identity across strategies, jobs
-and observation; bitwise timer sharing; compile-cache aliasing safety;
-and the grouping/validation plumbing around them.
+*throughput* optimization only: prefix-memoized compilation and shared
+steady-state walks must never change a single cycle count, history
+entry or cache key.  These tests pin that contract from three sides —
+end-to-end search identity across strategies, jobs and observation;
+bitwise timer sharing; and compile-cache aliasing safety — plus the
+stability of the eval-cache key.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 
 import pytest
 
-from repro.fko import FKO, TransformParams
+import repro.search.engine as engine_mod
+from repro.fko import FKO
 from repro.ir.printer import canonical_function_text
 from repro.kernels import get_kernel
 from repro.machine import Context, get_machine
 from repro.machine.loopinfo import summarize
 from repro.qa import run_fuzz
-from repro.search import TuneConfig, TuningSession, build_space, make_searcher
+from repro.search import TuneConfig, TuningSession
 from repro.search.evalcache import eval_key
 from repro.timing.timer import Timer
 
@@ -45,36 +47,52 @@ def _run(strategy, **cfg_kw):
 # end-to-end bit-identity: batched == unbatched, everywhere
 
 class TestBatchedBitIdentity:
-    """Every (strategy, jobs, batch_size, observe) combination must land
-    on the same best cycles and the same evaluation history as the
-    uncached, unbatched serial reference."""
+    """The default (prefix-memoized, shared-walk) path must land on the
+    same best cycles and the same evaluation history as the uncached
+    serial reference, for every strategy — serial, pooled and
+    observed."""
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return {s: _run(s, jobs=1, batch_size=1, prefix_cache=False)
-                for s in STRATEGIES}
+        # the reference compiles every candidate through the full
+        # pipeline: a serial session whose FKO has its caches off
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_mod, "FKO",
+                       functools.partial(FKO, prefix_cache=False))
+            return {s: _run(s, jobs=1) for s in STRATEGIES}
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_batched_serial(self, reference, strategy):
-        assert _run(strategy, jobs=1, batch_size=6) == reference[strategy]
+        assert _run(strategy, jobs=1) == reference[strategy]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_batched_parallel(self, reference, strategy):
+        assert _run(strategy, jobs=2) == reference[strategy]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_batched_parallel_observed(self, reference, strategy):
-        got = _run(strategy, jobs=2, batch_size=6, observe=True)
+        got = _run(strategy, jobs=2, observe=True)
         assert got == reference[strategy]
 
-    def test_parallel_unbatched(self, reference):
-        assert _run("genetic", jobs=2, batch_size=1) == reference["genetic"]
-
     def test_batch_stats_populated(self):
+        """Candidates of one search share compile prefixes; repeating
+        the search in the same session reuses every compile and every
+        timing walk."""
         cfg = TuneConfig(strategy="genetic", max_evals=10, seed=7,
-                         run_tester=False, batch_size=6)
+                         run_tester=False)
         with TuningSession(cfg) as s:
             s.tune("daxpy", "opteron", Context.OUT_OF_CACHE, 80000)
+            first = s.stats.to_dict()
+            s.tune("daxpy", "opteron", Context.OUT_OF_CACHE, 80000)
             stats = s.stats
-        assert stats.batch_groups > 0
-        assert stats.batch_size_total >= stats.batch_groups
-        assert stats.batch_prefix_hits + stats.batch_prefix_misses > 0
+        assert first["batch_prefix_hits"] > 0
+        assert first["batch_prefix_misses"] > 0
+        repeat = stats.evaluations - first["evaluations"]
+        assert repeat == 10
+        assert stats.batch_prefix_misses == first["batch_prefix_misses"]
+        assert stats.batch_prefix_hits - first["batch_prefix_hits"] \
+            == repeat
+        assert stats.batch_walk_hits - first["batch_walk_hits"] == repeat
 
 
 # ---------------------------------------------------------------------------
@@ -152,59 +170,9 @@ class TestPrefixCacheAliasing:
 
 
 # ---------------------------------------------------------------------------
-# ask_batch grouping is an order hint, never a semantic change
-
-class TestAskBatchGrouping:
-    @pytest.fixture()
-    def searcher(self):
-        machine = get_machine("p4e")
-        fko = FKO(machine)
-        hil = get_kernel("ddot").hil
-        space = build_space(fko.analyze(hil), machine)
-        return make_searcher("random", space, fko.defaults(hil),
-                             max_evals=24, seed=3)
-
-    def test_groups_are_a_permutation_of_ask(self, searcher):
-        batch = searcher.ask()
-        groups = searcher.ask_batch()
-        flat = [p for g in groups for p in g]
-        assert sorted(p.key() for p in flat) \
-            == sorted(p.key() for p in batch)
-
-    def test_group_members_share_the_default_key(self, searcher):
-        for group in searcher.ask_batch():
-            keys = {(p.sv, p.unroll, p.lc, p.ae) for p in group}
-            assert len(keys) == 1
-
-    def test_limit_caps_group_size(self, searcher):
-        groups = searcher.ask_batch(limit=2)
-        assert groups and all(len(g) <= 2 for g in groups)
-
-    def test_custom_key_controls_grouping(self, searcher):
-        groups = searcher.ask_batch(key=lambda p: p.unroll)
-        unrolls = [g[0].unroll for g in groups]
-        assert len(unrolls) == len(set(unrolls))
-        for group in groups:
-            assert len({p.unroll for p in group}) == 1
-
-    def test_grouping_does_not_disturb_tell(self, searcher):
-        batch = searcher.ask()
-        searcher.ask_batch(limit=3)   # a pure query
-        searcher.tell([(p, 100.0 + i) for i, p in enumerate(batch)])
-        assert searcher.history[-len(batch):]
-
-
-# ---------------------------------------------------------------------------
-# config validation and cache-key stability
+# cache-key stability
 
 class TestConfigAndKeys:
-    def test_batch_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            TuneConfig(batch_size=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            TuneConfig(batch_size=-4)
-        assert TuneConfig(batch_size=1).batch_size == 1
-
     def test_eval_key_is_stable(self):
         """The eval-cache key format is load-bearing: changing it
         silently invalidates every persisted cache.  Pinned digest."""

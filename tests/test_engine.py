@@ -71,6 +71,23 @@ class TestParallelEqualsSerial:
             assert a.search.best_cycles == b.search.best_cycles
             assert a.timing.cycles == b.timing.cycles
 
+    def test_job_fanout_keeps_the_whole_config(self):
+        """Job workers search from the session's own ``start`` (and
+        ``space``), not from FKO's defaults."""
+        jobs = [TuningJob(k, "p4e", Context.OUT_OF_CACHE, N, max_evals=12)
+                for k in ("ddot", "daxpy")]
+        start = TransformParams(unroll=1)
+        histories = {}
+        for n_jobs in (1, 2):
+            with TuningSession(_config(jobs=n_jobs, start=start)) as s:
+                batch = s.run(jobs)
+            assert not batch.errors
+            histories[n_jobs] = {k: tk.search.history
+                                 for k, tk in batch.results.items()}
+        assert histories[1] == histories[2]
+        for history in histories[1].values():
+            assert history[0][1] == start.key()
+
 
 # ---------------------------------------------------------------------------
 # persistent evaluation cache

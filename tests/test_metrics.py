@@ -155,7 +155,7 @@ class TestMetricsRegistry:
 
     def test_snapshot_is_json_serializable(self):
         m.enable()
-        m.observe("repro_batch_group_size", 4)
+        m.observe("repro_eval_wall_seconds", 0.25)
         m.set_gauge("repro_evals_per_sec", 123.4, scope="batch")
         json.dumps(m.snapshot())
 
@@ -184,14 +184,6 @@ class TestEngineMetrics:
         snap = m.snapshot()
         assert _get(snap["gauges"]["repro_evals_per_sec"],
                     scope="batch")["value"] > 0
-
-    def test_batched_tune_populates_group_series(self):
-        m.enable()
-        with TuningSession(_config(batch_size=8)) as s:
-            s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
-        snap = m.snapshot()
-        assert _get(snap["counters"]["repro_batch_groups_total"])["value"] > 0
-        assert _get(snap["histograms"]["repro_batch_group_size"])["count"] > 0
 
     def test_cache_hits_counted(self, tmp_path):
         m.enable()

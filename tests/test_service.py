@@ -485,17 +485,3 @@ class TestCanonicalText:
 
         assert canon("%x.17 %y.3 %x.17") == "%x.0 %y.1 %x.0"
         assert canon("%a.5 %a.9") == "%a.0 %a.1"
-
-
-# ---------------------------------------------------------------------------
-# deprecation shim
-
-class TestDeprecations:
-    def test_collect_events_warns_and_still_buffers(self):
-        with pytest.warns(DeprecationWarning, match="buffer_events"):
-            s = TuningSession(_config(), collect_events=True)
-        try:
-            s.emit("eval", wall=0.0)
-            assert s.drain_events()
-        finally:
-            s.close()

@@ -185,29 +185,6 @@ class TestSurrogate:
             common += 1
         assert common >= n_explore
 
-    def test_ask_batch_is_stable_permutation_charged_once(self,
-                                                          ddot_space):
-        sp, start = ddot_space
-        s = make_searcher("surrogate", sp, start, max_evals=24, seed=2)
-        s.tell([(p, _fake_cycles(p)) for p in s.ask()])   # start point
-        flat = s.ask()
-        assert len(flat) > 1
-        charged = s.n_evaluations
-        groups = s.ask_batch(limit=3)
-        # a pure evaluation hint: same multiset, nothing re-charged,
-        # same grouping on a second call
-        assert sorted(p.key() for g in groups for p in g) \
-            == sorted(p.key() for p in flat)
-        assert all(len(g) <= 3 for g in groups)
-        assert s.n_evaluations == charged
-        assert [[p.key() for p in g] for g in s.ask_batch(limit=3)] \
-            == [[p.key() for p in g] for g in groups]
-        s.tell([(p, _fake_cycles(p)) for p in flat])      # still ask order
-        # telling never re-charges the told batch: only the next ask's
-        # fresh candidates account for the budget delta
-        if not s.finished:
-            assert s.n_evaluations == charged + len(s.ask())
-
     def test_bag_must_be_positive(self, ddot_space):
         sp, start = ddot_space
         with pytest.raises(SearchError, match="bag"):
