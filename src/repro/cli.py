@@ -60,6 +60,7 @@ from .obs import (aggregate_curves, collect_curves, curves_document,
 from .search import (TraceStream, TuneConfig, TuningSession, read_trace,
                      registry_jobs, render_trace_summary, searcher_names,
                      summarize_trace)
+from .search.trace import TIMING_PATHS, format_paths
 from .timing.tester import test_function
 from .timing.timer import paper_n
 
@@ -338,9 +339,10 @@ def cmd_tune_all(args) -> int:
     s = session.stats
     print(f"# evaluations: {s.evaluations} computed, {s.cache_hits} "
           f"cache hits, {s.timeouts} timeouts, {s.faults} faults")
+    paths = {p: getattr(s, f"path_{p}") for p in TIMING_PATHS}
     print(f"# throughput: {s.throughput(batch.wall):.1f} evals/s, "
           f"cache hit rate {s.cache_hit_rate:.1%}, "
-          f"fast-path {s.fast_path}/slow-path {s.slow_path}")
+          f"timing paths {format_paths(paths)}")
     width = max(len(k) for k in (list(batch.results) + list(batch.errors)))
     for job in jobs:
         key = job.key()

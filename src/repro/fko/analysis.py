@@ -92,14 +92,15 @@ MAX_UNROLL = 128
 
 
 def _reachable_from(fn: Function, start: str) -> Set[str]:
+    succ = fn.successor_map()
     seen: Set[str] = set()
     work = [start]
     while work:
         cur = work.pop()
-        if cur in seen or not fn.has_block(cur):
+        if cur in seen or cur not in succ:
             continue
         seen.add(cur)
-        work.extend(fn.successors(fn.block(cur)))
+        work.extend(succ[cur])
     return seen
 
 

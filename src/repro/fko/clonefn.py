@@ -68,6 +68,7 @@ def private_registers(fn: Function, region: List[str]) -> Set[VReg]:
                 if isinstance(r, VReg):
                     defined.add(r)
 
+    succ = lv.succ
     private: Set[VReg] = set()
     for r in defined:
         if r in live_in_entry:
@@ -75,9 +76,8 @@ def private_registers(fn: Function, region: List[str]) -> Set[VReg]:
         # live out of the region into non-region blocks?
         escapes = False
         for name in region:
-            blk = fn.block(name)
-            for succ in fn.successors(blk):
-                if succ not in region_set and r in lv.live_in.get(succ, ()):
+            for s in succ[name]:
+                if s not in region_set and r in lv.live_in.get(s, ()):
                     escapes = True
                     break
             if escapes:

@@ -55,7 +55,8 @@ def block_uses_defs(block: BasicBlock) -> Tuple[Set[Reg], Set[Reg]]:
 
 
 class Liveness:
-    """Per-block live-in / live-out sets, computed to a fixed point."""
+    """Per-block live-in / live-out sets, computed to a fixed point, and
+    the successor map they were computed over (``succ``)."""
 
     def __init__(self, fn: Function):
         self.fn = fn
@@ -67,7 +68,8 @@ class Liveness:
         fn = self.fn
         live_in = self.live_in
         live_out = self.live_out
-        succ = fn.successor_map()   # snapshot: one pass, not O(blocks^2)
+        # snapshot: one pass, not O(blocks^2)
+        succ = self.succ = fn.successor_map()
         # per-block rows in reverse layout order: no per-sweep dict
         # lookups for use/defs/successors inside the fixed-point loop
         rows = []

@@ -140,23 +140,10 @@ class Function:
 
     # ------------------------------------------------------------------
     # derived CFG
-    def successors(self, block: BasicBlock) -> List[str]:
-        succs = list(dict.fromkeys(block.branch_targets()))
-        if block.falls_through:
-            idx = self.block_index(block.name)
-            if idx + 1 < len(self.blocks):
-                nxt = self.blocks[idx + 1].name
-                if nxt not in succs:
-                    succs.append(nxt)
-        return succs
-
     def successor_map(self) -> Dict[str, List[str]]:
         """``{block name: successor names}`` for every block, computed in
         one pass over the layout.  Edges are derived, so the map is a
-        snapshot — recompute after splicing blocks.  Analyses that query
-        successors repeatedly (liveness, CFG cleanup) use this instead of
-        per-block :meth:`successors` calls, which pay a linear
-        ``block_index`` scan each."""
+        snapshot — recompute after splicing blocks."""
         blocks = self.blocks
         out: Dict[str, List[str]] = {}
         for i, b in enumerate(blocks):

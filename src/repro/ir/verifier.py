@@ -157,8 +157,7 @@ def verify(fn: Function) -> None:
             if nm not in name_set:
                 raise IRVerifyError(
                     f"{fn.name}: loop descriptor references unknown block {nm!r}")
-        latch_block = fn.block(lp.latch)
-        if lp.header not in fn.successors(latch_block):
+        if lp.header not in fn.successor_map()[lp.latch]:
             raise IRVerifyError(
                 f"{fn.name}: loop latch {lp.latch!r} has no back edge to "
                 f"header {lp.header!r}")

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import MachineError
-from ..ir import Function, Instruction, Mem, Opcode, PrefetchHint, VReg
-from ..ir.operands import is_reg
+from ..ir import Function, Instruction, Opcode, PrefetchHint
 
 
 @dataclass
@@ -62,40 +61,79 @@ class LoopSummary:
         return self.elems_per_trip > 0
 
 
+#: saturation point of the block-weight rule: a body with more
+#: entry-rooted paths than this (summed over its blocks) weighs every
+#: block 1.0, as if it had no rare blocks at all
+PATH_LIMIT = 4096
+
+
+def _body_order(fn: Function, succ: Dict[str, List[str]],
+                entry: str) -> List[str]:
+    """The body blocks reachable from ``entry`` in topological order
+    (``succ`` already has the latch's back edge removed)."""
+    order: List[str] = []
+    done: Dict[str, bool] = {entry: False}   # False while on the DFS stack
+    stack = [(entry, iter(succ[entry]))]
+    while stack:
+        name, it = stack[-1]
+        for s in it:
+            if s not in done:
+                done[s] = False
+                stack.append((s, iter(succ[s])))
+                break
+            if not done[s]:
+                raise MachineError(
+                    f"{fn.name}: loop body has a cycle through {s!r} "
+                    f"besides the latch's back edge")
+        else:
+            stack.pop()
+            done[name] = True
+            order.append(name)
+    order.reverse()
+    return order
+
+
 def _block_weights(fn: Function, body_names: List[str], latch: str,
                    rare_weight: float) -> Dict[str, float]:
     """Weight 1.0 for blocks on *every* path body-entry -> latch, a small
     weight for conditionally-executed blocks (e.g. iamax's NEWMAX, which
-    fires O(log N) times on random data)."""
+    fires O(log N) times on random data).
+
+    A pass over the body DAG (the latch's back edge ignored) in
+    topological order counts each block's entry-rooted paths.  More
+    than :data:`PATH_LIMIT` of them in all, or none to the latch,
+    weighs every block 1.0; otherwise a second pass intersects the
+    blocks on every path to each block (its dominators), and the
+    latch's dominators weigh 1.0."""
     if not body_names:
         return {}
     entry = body_names[0]
+    if len(body_names) == 1:
+        return {entry: 1.0}
     members = set(body_names) | {latch}
+    cfg = fn.successor_map()
+    succ = {name: ([] if name == latch else
+                   [s for s in cfg[name] if s in members])
+            for name in members}
 
-    # enumerate blocks reachable on all paths via intersection of paths
-    # (bodies are small DAGs once the back edge is removed)
-    always: Optional[set] = None
-    stack: List[Tuple[str, frozenset]] = [(entry, frozenset([entry]))]
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 4096:  # pathological CFG: treat everything as "always"
-            always = set(body_names)
-            break
-        cur, path = stack.pop()
-        if cur == latch:
-            always = set(path) if always is None else (always & set(path))
-            continue
-        for s in fn.successors(fn.block(cur)):
-            if s in members and s not in path:
-                stack.append((s, path | {s}))
-    if always is None:
-        always = set(body_names)
+    order = _body_order(fn, succ, entry)
+    paths = dict.fromkeys(order, 0)
+    paths[entry] = 1
+    for name in order:
+        for s in succ[name]:
+            paths[s] += paths[name]
+    if latch not in paths or sum(paths.values()) > PATH_LIMIT:
+        return dict.fromkeys(body_names, 1.0)
 
-    weights = {}
-    for name in body_names:
-        weights[name] = 1.0 if name in always else rare_weight
-    return weights
+    doms: Dict[str, set] = {entry: set()}
+    for name in order:
+        dom = doms[name]
+        dom.add(name)
+        for s in succ[name]:
+            doms[s] = doms[s] & dom if s in doms else set(dom)
+    always = doms[latch]
+    return {name: 1.0 if name in always else rare_weight
+            for name in body_names}
 
 
 def summarize(fn: Function, rare_weight: float = 0.01) -> LoopSummary:
@@ -122,18 +160,17 @@ def _summarize(fn: Function, rare_weight: float) -> LoopSummary:
                            prologue_uop_estimate=fn.n_instructions())
 
     weights = _block_weights(fn, loop.body, loop.latch, rare_weight)
+    blocks = {b.name: b for b in fn.blocks}
     body: List[Tuple[Instruction, float]] = []
     # header + latch execute once per trip
-    for name in [loop.header] if fn.has_block(loop.header) else []:
-        blk = fn.block(name)
-        if name not in loop.body:
-            for instr in blk.instrs:
-                body.append((instr, 1.0))
+    if loop.header in blocks and loop.header not in loop.body:
+        for instr in blocks[loop.header].instrs:
+            body.append((instr, 1.0))
     for name in loop.body:
         w = weights.get(name, 1.0)
-        for instr in fn.block(name).instrs:
+        for instr in blocks[name].instrs:
             body.append((instr, w))
-    for instr in fn.block(loop.latch).instrs:
+    for instr in blocks[loop.latch].instrs:
         body.append((instr, 1.0))
 
     # streams
@@ -180,8 +217,8 @@ def _summarize(fn: Function, rare_weight: float) -> LoopSummary:
     # cleanup loop (remainder iterations), tagged by the transforms
     cleanup: List[Tuple[Instruction, float]] = []
     for name in getattr(loop, "cleanup_body", []) or []:
-        if fn.has_block(name):
-            for instr in fn.block(name).instrs:
+        if name in blocks:
+            for instr in blocks[name].instrs:
                 cleanup.append((instr, 1.0))
 
     summary = LoopSummary(fn, epi, body, streams,

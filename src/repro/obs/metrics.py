@@ -275,7 +275,7 @@ for _name, _help in (
     ("repro_eval_cache_hits_total",
      "Evaluations answered from the persistent eval cache"),
     ("repro_eval_path_total",
-     "Timing path taken per evaluation (fast extrapolated vs slow full)"),
+     "Timing path taken per ok evaluation (walk, replay, nest, memo)"),
     ("repro_eval_wall_seconds",
      "Wall time per engine evaluation round-trip"),
     ("repro_evals_per_sec",

@@ -129,7 +129,7 @@ def export_perfetto(events: List[Dict]) -> Dict:
             wall = max(float(ev.get("wall") or 0.0), 0.0)
             span = _span("eval", "eval", t - wall, t,
                          {k: ev.get(k) for k in ("params", "cycles",
-                                                 "status", "fast", "phase")})
+                                                 "status", "path", "phase")})
             _lay_passes(span, pending_passes.pop(tid, []))
             parent = open_job.get(tid)
             (parent["children"] if parent is not None

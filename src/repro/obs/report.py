@@ -18,6 +18,16 @@ from collections import OrderedDict
 from typing import Dict, List, Optional
 
 
+#: (timing path, what ran) for the report's timing-path lines; the
+#: ``unlabelled`` line appears only for traces written before the eval
+#: event carried a path
+_PATH_LABELS = (("walk", "full per-line walk"),
+                ("replay", "steady-state replay"),
+                ("nest", "analytic blocked-nest model"),
+                ("memo", "shared walk of an identical kernel"),
+                ("unlabelled", "trace predates path labels; not a replay"))
+
+
 def _f(x, digits: int = 1) -> str:
     if x is None:
         return "-"
@@ -196,11 +206,13 @@ def render_report(events: List[Dict], title: Optional[str] = None) -> str:
                   "nest); tiles are the winner's `TILE=` parameters.", ""]
 
     # -- cache and timing-path stats ------------------------------------
+    paths = summary.get("paths") or {}
     lines += ["## Cache and timing-path stats", "",
               f"- cache hits: {n_hits} "
               f"(hit rate {100.0 * summary['cache_hit_rate']:.1f}%)",
-              f"- fast path (steady-state replay): {summary['fast_path']}",
-              f"- slow path (full per-line walk): {summary['slow_path']}"]
+              *(f"- timing path {p} ({label}): {paths.get(p, 0)}"
+                for p, label in _PATH_LABELS
+                if p != "unlabelled" or paths.get(p))]
     batch = summary.get("batch") or {}
     if batch.get("prefix_hits") or batch.get("prefix_misses"):
         compiles = batch["prefix_hits"] + batch["prefix_misses"]

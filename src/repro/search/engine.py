@@ -119,8 +119,9 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
     """One compile+time.  Returns ``(cycles, status, meta)`` where
     status is ``ok`` | ``timeout`` | ``fault: ...``; failures come back
     as ``inf`` cycles (the sweep just never picks them) instead of
-    killing a batch that has hours of work behind it.  ``meta`` reports
-    whether the timing model's steady-state fast path fired.
+    killing a batch that has hours of work behind it.  ``meta["path"]``
+    names the timing path that produced the cycles (one of
+    :data:`~repro.search.trace.TIMING_PATHS`; None on a failure).
 
     ``observe=True`` additionally collects pass-level compile telemetry
     (an :mod:`repro.obs` collector around the compile) and the timing
@@ -155,6 +156,7 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
             # shared key guarantees it would have been identical
             share = fko.share_key(hil, params, debug_verify=verify_ir)
             base = timer.peek_base(share)
+            path = "memo"
             if base is None:
                 nest = nest_info(hil) if isinstance(hil, str) else None
                 if nest is not None:
@@ -163,17 +165,19 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
                     # model (the per-line walk cannot cover O(N^3))
                     base = timer.base_nest(summarize(compiled.fn), nest,
                                            params.tiles(), share)
+                    path = "nest"
                 else:
                     base = timer.base(summarize(compiled.fn), share)
+                    path = ("replay" if base.stats.lines_extrapolated > 0
+                            else "walk")
             timing = timer.finish(base, flops,
                                   ident=f"{ident_prefix}{params.key()}")
     except SimulationFault as exc:
-        return float("inf"), f"fault: {exc}", {"fast": False}
+        return float("inf"), f"fault: {exc}", {"path": None}
     except EvalTimeout:
-        return float("inf"), "timeout", {"fast": False}
+        return float("inf"), "timeout", {"path": None}
     raw = timing.raw
-    meta = {"fast": bool(raw is not None
-                         and raw.stats.lines_extrapolated > 0)}
+    meta = {"path": path}
     if col is not None:
         meta["passes"] = col.passes
         if raw is not None:
@@ -225,7 +229,7 @@ def _evaluate_list(fko: FKO, timer: Timer, payload: Dict) -> Dict:
             observe=payload["observe"], verify_ir=payload["verify_ir"])
         outcomes.append({"cycles": cycles, "status": status,
                          "wall": time.perf_counter() - t0,
-                         "fast": meta.get("fast"),
+                         "path": meta.get("path"),
                          "passes": meta.get("passes"),
                          "attribution": meta.get("attribution")})
     after = fko.cache_stats()
@@ -333,8 +337,11 @@ class EngineStats:
     cache_hits: int = 0       # served from the persistent cache
     timeouts: int = 0
     faults: int = 0           # evaluations lost to a SimulationFault
-    fast_path: int = 0        # evaluations timed via steady-state replay
-    slow_path: int = 0        # evaluations that walked every line
+    # ok evaluations by timing path (see trace.TIMING_PATHS)
+    path_walk: int = 0        # walked every line
+    path_replay: int = 0      # steady-state replay extrapolated the walk
+    path_nest: int = 0        # analytic blocked-nest model
+    path_memo: int = 0        # a shared walk of an identical kernel
     jobs_completed: int = 0
     jobs_resumed: int = 0
     # batched-evaluation reuse (compile prefix snapshots forked /
@@ -486,10 +493,9 @@ class _Evaluator:
             session.stats.timeouts += 1
         elif status != "ok":
             session.stats.faults += 1
-        elif outcome.get("fast"):
-            session.stats.fast_path += 1
         else:
-            session.stats.slow_path += 1
+            name = f"path_{outcome['path']}"
+            setattr(session.stats, name, getattr(session.stats, name) + 1)
         if _metrics._ENABLED:
             # recorded parent-side (whichever process computed the
             # outcome), so engine metrics are complete under fan-out
@@ -497,8 +503,7 @@ class _Evaluator:
                          status=("fault" if status.startswith("fault")
                                  else status))
             if status == "ok":
-                _metrics.inc("repro_eval_path_total",
-                             path="fast" if outcome.get("fast") else "slow")
+                _metrics.inc("repro_eval_path_total", path=outcome["path"])
             _metrics.observe("repro_eval_wall_seconds",
                              float(outcome.get("wall") or 0.0))
         # only completed measurements are worth remembering: a timeout
@@ -521,7 +526,7 @@ class _Evaluator:
         session.emit("eval", job=self.job, phase=phase,
                      params=desc, cycles=c,
                      wall=outcome["wall"], status=status,
-                     fast=bool(outcome.get("fast")))
+                     path=outcome.get("path"))
         attribution = outcome.get("attribution")
         if attribution is not None:
             session.emit("attribution", job=self.job, phase=phase,
@@ -836,7 +841,8 @@ class TuningSession:
                   cache_hits=stats.cache_hits,
                   evals_per_sec=round(stats.throughput(wall), 2),
                   cache_hit_rate=round(stats.cache_hit_rate, 4),
-                  fast_path=stats.fast_path, slow_path=stats.slow_path,
+                  path_walk=stats.path_walk, path_replay=stats.path_replay,
+                  path_nest=stats.path_nest, path_memo=stats.path_memo,
                   batch_prefix_hits=stats.batch_prefix_hits,
                   batch_prefix_misses=stats.batch_prefix_misses,
                   batch_walk_hits=stats.batch_walk_hits)

@@ -24,8 +24,10 @@ pass         job, phase, params, pass (pipeline pass name), wall,
              ``ra.spill_loads``) — one per executed pass, emitted
              before the eval they belong to
 eval         job, phase, params (describe()), cycles, wall, status
-             (``ok`` | ``timeout`` | ``fault: ...``), fast (True when
-             the timing model's steady-state replay fired)
+             (``ok`` | ``timeout`` | ``fault: ...``), path (the timing
+             path that produced the cycles, one of TIMING_PATHS; null
+             on a failure).  Traces written before ``path`` existed
+             carry ``fast`` instead (True when the replay fired)
 attribution  job, phase, params, total, compute, memory_stall,
              prefetch_waste, other, bus_busy, prefetch_issued/
              dropped/wasted, demand_misses, hw_prefetches, lines,
@@ -52,7 +54,8 @@ job-resumed  job (reloaded from a checkpoint, no search ran)
 job-error    job, error
 pool-broken  job (optional) — worker pool died, run fell back serial
 batch-end    completed, errors, wall, evaluations, cache_hits,
-             evals_per_sec, cache_hit_rate, fast_path, slow_path, and
+             evals_per_sec, cache_hit_rate, path_walk, path_replay,
+             path_nest, path_memo (ok evaluations by timing path), and
              the merged batch_* counters (as on job-end, batch-wide)
 ========== =========================================================
 
@@ -71,6 +74,11 @@ from collections import Counter
 from typing import Dict, List, Optional
 
 TRACE_VERSION = 2
+
+#: the timing paths an evaluation can take, in report order: the full
+#: per-line walk, its steady-state replay, the analytic blocked-nest
+#: model, and the memoized walk of a bit-identical earlier kernel
+TIMING_PATHS = ("walk", "replay", "nest", "memo")
 
 
 def _sanitize(value):
@@ -223,8 +231,7 @@ def summarize_trace(events) -> Dict:
     phases = Counter()
     statuses = Counter()
     eval_wall = 0.0
-    fast_path = 0
-    slow_path = 0
+    paths = Counter({p: 0 for p in TIMING_PATHS})
     batch_wall = 0.0
     # batched-evaluation counters are emitted cumulatively on job-end /
     # batch-end, so the latest carrier in file order holds the totals
@@ -246,10 +253,9 @@ def summarize_trace(events) -> Dict:
             phases[ev.get("phase", "?")] += 1
             statuses[ev.get("status", "ok")] += 1
             eval_wall += ev.get("wall") or 0.0
-            if ev.get("fast"):
-                fast_path += 1
-            else:
-                slow_path += 1
+            path = _eval_path(ev)
+            if path is not None:
+                paths[path] += 1
             if job:
                 job_entry(job)["evaluations"] += 1
         elif kind == "batch-end":
@@ -284,12 +290,28 @@ def summarize_trace(events) -> Dict:
             "eval_wall": eval_wall,
             "evals_per_sec": (n_evals / wall) if wall > 0 else 0.0,
             "cache_hit_rate": (n_hits / seen) if seen else 0.0,
-            "fast_path": fast_path,
-            "slow_path": slow_path,
+            "paths": dict(paths),
             "batch": batch,
             "statuses": dict(statuses),
             "phases": dict(phases),
             "jobs": jobs}
+
+
+def _eval_path(ev: Dict) -> Optional[str]:
+    """The timing path of an ``eval`` event; None for a failed one.  An
+    event from before ``path`` existed only says whether the replay
+    fired, so its other ok evaluations count as ``unlabelled``."""
+    if ev.get("status", "ok") != "ok":
+        return None
+    if "path" in ev:
+        return ev["path"]
+    return "replay" if ev.get("fast") else "unlabelled"
+
+
+def format_paths(paths: Dict[str, int]) -> str:
+    """``walk 3/replay 5/nest 0/memo 2`` (plus any other label seen)."""
+    names = list(TIMING_PATHS) + sorted(set(paths) - set(TIMING_PATHS))
+    return "/".join(f"{p} {paths.get(p, 0)}" for p in names)
 
 
 def render_trace_summary(summary: Dict) -> str:
@@ -304,8 +326,7 @@ def render_trace_summary(summary: Dict) -> str:
         lines.append(
             f"# throughput: {summary.get('evals_per_sec', 0.0):.1f} evals/s, "
             f"cache hit rate {summary.get('cache_hit_rate', 0.0):.1%}, "
-            f"fast-path {summary.get('fast_path', 0)}"
-            f"/slow-path {summary.get('slow_path', 0)}")
+            f"timing paths {format_paths(summary.get('paths') or {})}")
     bad = {k: v for k, v in summary["statuses"].items() if k != "ok"}
     if bad:
         lines.append("# non-ok evaluations: "

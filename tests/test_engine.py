@@ -257,7 +257,15 @@ class TestRobustness:
             fko, timer, ddot_spec.hil, TransformParams(sv=True, unroll=8),
             ddot_spec.flops(80000), "ddot|")
         assert status == "ok" and cycles != float("inf")
-        assert meta["fast"] is True
+        assert meta["path"] == "replay"
+
+    def test_failed_eval_has_no_path(self, p4e, ddot_spec):
+        fko = _FlakyFKO(p4e, failures=1)
+        timer = Timer(p4e, Context.OUT_OF_CACHE, N)
+        _, status, meta = evaluate_params(
+            fko, timer, ddot_spec.hil, TransformParams(),
+            ddot_spec.flops(N), "ddot|")
+        assert status.startswith("fault:") and meta["path"] is None
 
     def test_timeout_returns_inf(self, p4e, ddot_spec):
         fko = _SlowFKO(p4e, delay=0.5)
@@ -382,6 +390,55 @@ class TestTuningJob:
 
 # ---------------------------------------------------------------------------
 # tracing
+
+class TestTimingPaths:
+    """Each ok evaluation is labelled with the timing path that
+    actually produced its cycles, end to end."""
+
+    def _eval(self, fko, timer, kernel, params):
+        spec = get_kernel(kernel)
+        cycles, status, meta = evaluate_params(
+            fko, timer, spec.hil, params, spec.flops(timer.n), "t|")
+        assert status == "ok" and cycles != float("inf")
+        return meta["path"]
+
+    def test_each_path_is_named(self, p4e):
+        fko = FKO(p4e)
+        small = Timer(p4e, Context.OUT_OF_CACHE, 64)
+        large = Timer(p4e, Context.OUT_OF_CACHE, 80000)
+        params = TransformParams(sv=True, unroll=8)
+        assert self._eval(fko, small, "ddot", params) == "walk"
+        assert self._eval(fko, large, "ddot", params) == "replay"
+        assert self._eval(fko, large, "ddot", params) == "memo"
+        assert self._eval(fko, Timer(p4e, Context.OUT_OF_CACHE, 64),
+                          "dgemm", TransformParams()) == "nest"
+
+    def test_nest_job_counts_nest_everywhere(self, tmp_path):
+        out = tmp_path / "run.jsonl"
+        with TuningSession(_config(trace=str(out), max_evals=6)) as s:
+            s.tune("dgemm", "p4e", Context.OUT_OF_CACHE, 64)
+            stats = s.stats
+        assert stats.evaluations > 0
+        assert stats.path_nest == stats.evaluations
+        assert stats.path_walk == stats.path_replay == 0
+        events = read_trace(str(out))
+        assert {e["path"] for e in events if e["event"] == "eval"} \
+            == {"nest"}
+        summary = summarize_trace(events)
+        assert summary["paths"]["nest"] == stats.evaluations
+        assert (f"nest {stats.evaluations}/memo 0"
+                in render_trace_summary(summary))
+
+    def test_pre_path_trace_still_summarizes(self):
+        events = [{"event": "eval", "status": "ok", "fast": True},
+                  {"event": "eval", "status": "ok", "fast": False},
+                  {"event": "eval", "status": "fault: x", "fast": False},
+                  {"event": "eval", "status": "ok", "path": "memo"}]
+        summary = summarize_trace(events)
+        assert summary["paths"] == {"walk": 0, "replay": 1, "nest": 0,
+                                    "memo": 1, "unlabelled": 1}
+        assert "memo 1/unlabelled 1" in render_trace_summary(summary)
+
 
 class TestTrace:
     def test_trace_records_search_and_summarizes(self, tmp_path):

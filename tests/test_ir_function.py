@@ -30,13 +30,12 @@ def build_diamond():
 class TestCFG:
     def test_successors_fallthrough_and_branch(self):
         fn, _ = build_diamond()
-        entry = fn.block("entry")
-        succs = fn.successors(entry)
+        succs = fn.successor_map()["entry"]
         assert set(succs) == {"then", "else"}
 
     def test_jmp_has_single_successor(self):
         fn, _ = build_diamond()
-        assert fn.successors(fn.block("else")) == ["join"]
+        assert fn.successor_map()["else"] == ["join"]
 
     def test_predecessors(self):
         fn, _ = build_diamond()

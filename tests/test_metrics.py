@@ -42,6 +42,7 @@ from repro.obs import metrics as m
 from repro.obs.perfdiff import classify_metric, flatten_numeric
 from repro.search import (TraceStream, TuneConfig, TuningSession,
                           read_trace, summarize_trace)
+from repro.search.trace import TIMING_PATHS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TILE_FIXTURE = GOLDEN / "tile_trace_fixture.jsonl"
@@ -172,7 +173,9 @@ class TestEngineMetrics:
         evals = _get(snap["counters"]["repro_evaluations_total"],
                      status="ok")
         assert evals["value"] > 0
-        assert snap["counters"]["repro_eval_path_total"]
+        paths = snap["counters"]["repro_eval_path_total"]
+        assert {e["labels"]["path"] for e in paths} <= set(TIMING_PATHS)
+        assert sum(e["value"] for e in paths) == evals["value"]
         wall = _get(snap["histograms"]["repro_eval_wall_seconds"])
         assert wall["count"] > 0 and wall["sum"] > 0
 
