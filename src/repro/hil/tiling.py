@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from . import ast
 from .parser import parse
 from ..errors import ReproError
+from ..util import LRUCache
 
 
 class TilingError(ReproError):
@@ -627,9 +628,16 @@ def apply_tiling(source: str, tiles: Dict[str, int]) -> str:
 # / ``tile-apply`` pass spans with ``tile.*`` detail counters instead.
 # With only the metrics registry enabled, memoization stays on and cold
 # computations feed the ``repro_tile_wall_seconds`` histogram.
-
-_NEST_CACHE: Dict[str, Optional[NestInfo]] = {}
-_TILED_CACHE: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], str] = {}
+#
+# Both memos are bounded: a long-running ``repro serve`` requests ever
+# new tilings, while one tuning pass over every Level-3 problem needs
+# fewer than 200 entries.
+_MEMO_SIZE = 1024
+_NEST_CACHE = LRUCache(_MEMO_SIZE)    # source -> NestInfo or _NO_NEST
+_TILED_CACHE = LRUCache(_MEMO_SIZE)   # (source, tiles) -> tiled source
+#: the memoized answer for a source without a nest (``LRUCache.get``
+#: returns None for a miss)
+_NO_NEST = object()
 
 
 def nest_info(source: str) -> Optional[NestInfo]:
@@ -646,17 +654,19 @@ def nest_info(source: str) -> Optional[NestInfo]:
             if info is not None:
                 col.count("tile.nest_loops", len(info.levels))
                 col.count("tile.nest_arrays", len(info.pointers))
-        _NEST_CACHE[source] = info
-        return info
-    if source not in _NEST_CACHE:
+    else:
+        info = _NEST_CACHE.get(source)
+        if info is not None:
+            return None if info is _NO_NEST else info
         if _metrics._ENABLED:
             t0 = perf_counter()
-            _NEST_CACHE[source] = find_nest(source)
+            info = find_nest(source)
             _metrics.observe("repro_tile_wall_seconds",
                              perf_counter() - t0, stage="discover")
         else:
-            _NEST_CACHE[source] = find_nest(source)
-    return _NEST_CACHE[source]
+            info = find_nest(source)
+    _NEST_CACHE.put(source, _NO_NEST if info is None else info)
+    return info
 
 
 def tiled_source(source: str, tiles: Dict[str, int]) -> str:
@@ -680,18 +690,19 @@ def tiled_source(source: str, tiles: Dict[str, int]) -> str:
             col.count("tile.lines_delta",
                       out.count("\n") - source.count("\n"))
             span.applied = True
-        _TILED_CACHE[key] = out
+        _TILED_CACHE.put(key, out)
         return out
-    hit = _TILED_CACHE.get(key)
-    if hit is None:
+    out = _TILED_CACHE.get(key)
+    if out is None:
         if _metrics._ENABLED:
             t0 = perf_counter()
-            hit = _TILED_CACHE[key] = apply_tiling(source, tiles)
+            out = apply_tiling(source, tiles)
             _metrics.observe("repro_tile_wall_seconds",
                              perf_counter() - t0, stage="apply")
         else:
-            hit = _TILED_CACHE[key] = apply_tiling(source, tiles)
-    return hit
+            out = apply_tiling(source, tiles)
+        _TILED_CACHE.put(key, out)
+    return out
 
 
 __all__ = ["NestInfo", "NestLevel", "TilingError", "apply_tiling",

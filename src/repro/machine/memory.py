@@ -9,7 +9,8 @@ which is how transform bugs surface in tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import List
 
 import numpy as np
 
@@ -19,16 +20,25 @@ from ..ir.types import DType
 _NP_DTYPE = {DType.F32: np.float32, DType.F64: np.float64,
              DType.I64: np.int64, DType.PTR: np.int64}
 
+_INT = frozenset((DType.I64, DType.PTR))
+
 _ALIGN = 64
 
 
 class MemoryImage:
-    """A sparse collection of allocations addressed by integer addresses."""
+    """A sparse collection of allocations addressed by integer addresses.
+
+    Allocations only ever grow upward and never overlap, so the one that
+    could hold an address is found by bisecting their bases."""
 
     def __init__(self) -> None:
         self._next = 0x1000
-        # (base, size, ndarray, name)
-        self._allocs: List[Tuple[int, int, np.ndarray, str]] = []
+        # parallel, sorted by base: base, end, a uint8 view of the
+        # array (stores write through it) and the name of each allocation
+        self._bases: List[int] = []
+        self._ends: List[int] = []
+        self._bytes: List[np.ndarray] = []
+        self._names: List[str] = []
 
     # ------------------------------------------------------------------
     def allocate(self, array: np.ndarray, name: str = "") -> int:
@@ -40,7 +50,10 @@ class MemoryImage:
             raise SimulationFault(f"array {name!r} must be contiguous")
         base = (self._next + _ALIGN - 1) // _ALIGN * _ALIGN
         size = array.nbytes
-        self._allocs.append((base, size, array, name))
+        self._bases.append(base)
+        self._ends.append(base + size)
+        self._bytes.append(array.view(np.uint8))
+        self._names.append(name)
         self._next = base + size + _ALIGN  # red zone between allocations
         return base
 
@@ -50,35 +63,33 @@ class MemoryImage:
         return self.allocate(arr, name)
 
     # ------------------------------------------------------------------
-    def _find(self, addr: int, nbytes: int) -> Tuple[np.ndarray, int]:
-        for base, size, arr, name in self._allocs:
-            if base <= addr and addr + nbytes <= base + size:
-                return arr, addr - base
+    def _find(self, addr: int, nbytes: int) -> np.ndarray:
+        """The ``nbytes`` bytes at ``addr``, as a writable uint8 view."""
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0 and addr + nbytes <= self._ends[i]:
+            off = addr - self._bases[i]
+            return self._bytes[i][off:off + nbytes]
         raise SimulationFault(
             f"access of {nbytes} bytes at {addr:#x} is out of bounds")
 
     def load(self, addr: int, dtype: DType, lanes: int = 1):
         """Load a scalar (lanes == 1) or vector value."""
         npdt = _NP_DTYPE[dtype]
-        esize = dtype.size
         if lanes > 1 and addr % 16 != 0:
             raise SimulationFault(
                 f"unaligned vector load at {addr:#x}")
-        arr, off = self._find(addr, esize * lanes)
-        view = arr.view(np.uint8)[off:off + esize * lanes]
-        values = np.frombuffer(view.tobytes(), dtype=npdt)
+        values = self._find(addr, dtype.size * lanes).view(npdt)
         if lanes == 1:
             v = values[0]
-            return int(v) if dtype.is_int else npdt(v)
+            return int(v) if dtype in _INT else npdt(v)
         return values.copy()
 
     def store(self, addr: int, value, dtype: DType, lanes: int = 1) -> None:
         npdt = _NP_DTYPE[dtype]
-        esize = dtype.size
         if lanes > 1 and addr % 16 != 0:
             raise SimulationFault(
                 f"unaligned vector store at {addr:#x}")
-        arr, off = self._find(addr, esize * lanes)
+        dest = self._find(addr, dtype.size * lanes)
         if lanes == 1:
             data = np.array([value], dtype=npdt)
         else:
@@ -86,33 +97,27 @@ class MemoryImage:
             if data.shape != (lanes,):
                 raise SimulationFault(
                     f"vector store of shape {data.shape}, expected ({lanes},)")
-        arr.view(np.uint8)[off:off + esize * lanes] = \
-            np.frombuffer(data.tobytes(), dtype=np.uint8)
+        dest[:] = data.view(np.uint8)
 
     def load_unaligned(self, addr: int, dtype: DType, lanes: int):
         """Vector load without the 16-byte alignment requirement
         (movups semantics)."""
         npdt = _NP_DTYPE[dtype]
-        esize = dtype.size
-        arr, off = self._find(addr, esize * lanes)
-        view = arr.view(np.uint8)[off:off + esize * lanes]
-        return np.frombuffer(view.tobytes(), dtype=npdt).copy()
+        return self._find(addr, dtype.size * lanes).view(npdt).copy()
 
     def store_unaligned(self, addr: int, value, dtype: DType,
                         lanes: int) -> None:
         npdt = _NP_DTYPE[dtype]
-        esize = dtype.size
-        arr, off = self._find(addr, esize * lanes)
+        dest = self._find(addr, dtype.size * lanes)
         data = np.asarray(value, dtype=npdt)
         if data.shape != (lanes,):
             raise SimulationFault(
                 f"vector store of shape {data.shape}, expected ({lanes},)")
-        arr.view(np.uint8)[off:off + esize * lanes] = \
-            np.frombuffer(data.tobytes(), dtype=np.uint8)
+        dest[:] = data.view(np.uint8)
 
     # ------------------------------------------------------------------
     def describe(self, addr: int) -> str:
-        for base, size, arr, name in self._allocs:
-            if base <= addr < base + size:
-                return f"{name or '<anon>'}+{addr - base}"
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0 and addr < self._ends[i]:
+            return f"{self._names[i] or '<anon>'}+{addr - self._bases[i]}"
         return f"{addr:#x} (unmapped)"

@@ -21,7 +21,7 @@ from ..errors import KernelTestFailure
 from ..fko.pipeline import CompiledKernel
 from ..ir import Function
 from ..kernels.blas1 import KernelSpec, reference
-from ..machine.interp import run_function
+from ..machine.interp import Program, run_function
 
 DEFAULT_SIZES = (0, 1, 2, 3, 7, 8, 16, 33, 100, 257)
 
@@ -76,6 +76,8 @@ def test_function(fn: Function, spec: KernelSpec,
     if sizes is None:
         sizes = spec.test_sizes or DEFAULT_SIZES
     rng = np.random.default_rng(seed)
+    # one decode serves every size; it dies with this call
+    program = Program(fn)
     for n in sizes:
         for _ in range(trials_per_size):
             arrays, scalars = make_inputs(spec, n, rng)
@@ -83,8 +85,8 @@ def test_function(fn: Function, spec: KernelSpec,
             ref_arrays = {k: v.copy() for k, v in arrays.items()}
 
             fscalars = {k: v for k, v in scalars.items() if k != "N"}
-            result = run_function(fn, got_arrays,
-                                  {"N": n, **fscalars})
+            result = run_function(fn, got_arrays, {"N": n, **fscalars},
+                                  program=program)
             # the reference must see exactly the elements each argument
             # owns at size n (arrays are padded to length >= 1 for the
             # interpreter's allocator; matrices hold n*n elements)

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import SimulationFault
 from repro.hil import compile_hil
 from repro.ir import (Cond, DType, Function, IRBuilder, Imm, Instruction,
-                      Mem, Opcode, Param, RegClass, VReg, sse)
+                      Label, Mem, Opcode, Param, RegClass, VReg, sse)
 from repro.machine import MemoryImage, run_function
 from repro.machine.interp import Interpreter
 
@@ -165,3 +165,102 @@ RETURN r;
         fn = compile_hil(ddot_src)
         res = run_function(fn, {"X": np.ones(8), "Y": np.ones(8)}, {"N": 8})
         assert res.instructions_executed > 8 * 5
+
+
+def _ptr_fn(name="f"):
+    """A function of one f64 array parameter ``X`` and its builder."""
+    fn = Function(name, [Param("X", DType.PTR, elem=DType.F64,
+                               reg=VReg("X", RegClass.GP, DType.PTR))])
+    return fn, IRBuilder(fn), fn.params[0].reg
+
+
+class TestInterpreterFaults:
+    def test_fall_off_the_end(self):
+        fn = Function("f", [])
+        b = IRBuilder(fn)
+        b.new_block("entry")
+        b.mov(b.gp("o"), Imm(1))
+        with pytest.raises(SimulationFault, match="fell off the end"):
+            run_function(fn, {}, {})
+
+    def test_jcc_without_flags(self):
+        fn = Function("f", [])
+        b = IRBuilder(fn)
+        b.new_block("entry")
+        b.jcc(Cond.LT, "entry")
+        with pytest.raises(SimulationFault, match="JCC with no flags set"):
+            run_function(fn, {}, {})
+
+    def test_vector_store_to_scalar_ref(self):
+        fn, b, x = _ptr_fn()
+        b.new_block("entry")
+        v = b.vec("v", sse(DType.F64))
+        b.vzero(v)
+        b.emit(Instruction(Opcode.VST, None, (Mem(x, DType.F64), v)))
+        b.ret()
+        with pytest.raises(SimulationFault,
+                           match="vector store to scalar ref"):
+            run_function(fn, {"X": np.zeros(4)}, {})
+
+    def test_label_operand_is_unreadable(self):
+        fn = Function("f", [])
+        b = IRBuilder(fn)
+        b.new_block("entry")
+        b.mov(b.gp("o"), Label("entry"))
+        b.ret()
+        with pytest.raises(SimulationFault, match="cannot read operand @entry"):
+            run_function(fn, {}, {})
+
+    def test_budget_fault_mid_block_keeps_earlier_stores(self):
+        fn, b, x = _ptr_fn()
+        b.new_block("entry")
+        f = b.fp("f")
+        b.mov(f, Imm(1.0))
+        for i in range(4):
+            b.store(Mem(x, DType.F64, disp=8 * i), f)
+        b.ret()
+        # 6 instructions: the budget is checked before each one
+        assert run_function(fn, {"X": np.zeros(4)}, {},
+                            max_instructions=6).instructions_executed == 6
+        X = np.zeros(4)
+        with pytest.raises(SimulationFault, match=r"budget exceeded \(3\)"):
+            run_function(fn, {"X": X}, {}, max_instructions=3)
+        assert list(X) == [1.0, 1.0, 0.0, 0.0]
+
+    def test_never_executed_block_is_never_faulted(self):
+        fn = Function("f", [])
+        b = IRBuilder(fn)
+        b.new_block("entry")
+        out = b.gp("o")
+        b.mov(out, Imm(7))
+        b.ret(out)
+        b.new_block("dead")
+        b.add(b.gp("d"), VReg("ghost", RegClass.GP, DType.I64), Imm(1))
+        b.jmp("nowhere")
+        res = run_function(fn, {}, {})
+        assert (res.ret, res.instructions_executed) == (7, 2)
+
+    def test_malformed_instruction_fails_only_when_run(self):
+        fn = Function("f", [])
+        b = IRBuilder(fn)
+        b.new_block("entry")
+        out = b.gp("o")
+        b.mov(out, Imm(3))
+        b.cmp(out, Imm(3))
+        b.jcc(Cond.EQ, "done")
+        b.emit(Instruction(Opcode.FADD, None, ()))  # no operands at all
+        b.new_block("done")
+        b.ret(out)
+        assert run_function(fn, {}, {}).ret == 3
+        fn.blocks[0].instrs[1] = Instruction(Opcode.CMP, None,
+                                             (out, Imm(4)))
+        with pytest.raises(IndexError):
+            run_function(fn, {}, {})
+
+    def test_taken_branch_to_undefined_label_raises_key_error(self):
+        fn = Function("f", [])
+        b = IRBuilder(fn)
+        b.new_block("entry")
+        b.jmp("nowhere")
+        with pytest.raises(KeyError, match="nowhere"):
+            run_function(fn, {}, {})

@@ -7,10 +7,12 @@ from __future__ import annotations
 import pytest
 
 from repro.fko import FKO, TransformParams
+from repro.hil import tiling
 from repro.hil.tiling import (NestInfo, TilingError, apply_tiling,
                               find_nest, nest_info, tiled_source, unparse)
 from repro.kernels import get_kernel
 from repro.timing.tester import test_function as check_function
+from repro.util import LRUCache
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,46 @@ class TestFindNest:
 
     def test_nest_info_is_memoized(self, gemm_spec):
         assert nest_info(gemm_spec.hil) is nest_info(gemm_spec.hil)
+
+    def test_source_without_nest_is_searched_once(self, monkeypatch):
+        calls = []
+
+        def counting(source):
+            calls.append(source)
+            return find_nest(source)
+
+        monkeypatch.setattr(tiling, "_NEST_CACHE", LRUCache(8))
+        monkeypatch.setattr(tiling, "find_nest", counting)
+        src = get_kernel("ddot").hil
+        assert [nest_info(src) for _ in range(3)] == [None] * 3
+        assert calls == [src]
+
+
+class TestMemoBounds:
+    def test_memos_hold_one_tuning_pass(self):
+        # one pass over every Level-3 problem requests 168 tilings
+        assert tiling._NEST_CACHE.maxsize == 1024
+        assert tiling._TILED_CACHE.maxsize == 1024
+
+    def test_memos_stay_bounded_and_exact(self, monkeypatch, gemm_spec):
+        maxsize = 8
+        monkeypatch.setattr(tiling, "_NEST_CACHE", LRUCache(maxsize))
+        monkeypatch.setattr(tiling, "_TILED_CACHE", LRUCache(maxsize))
+        for k in range(1, 3 * maxsize):
+            tiles = {"k": k, "j": k % 3}
+            out = tiled_source(gemm_spec.hil, tiles)
+            assert out == apply_tiling(gemm_spec.hil, tiles)
+            for source in (gemm_spec.hil, out):
+                info, direct = nest_info(source), find_nest(source)
+                assert (info is None) == (direct is None)
+                if info is not None:
+                    assert unparse(info.routine) == unparse(direct.routine)
+                    assert info.strides_at(5) == direct.strides_at(5)
+            assert len(tiling._TILED_CACHE) <= maxsize
+            assert len(tiling._NEST_CACHE) <= maxsize
+        # the oldest entries were evicted, the newest still answer
+        assert len(tiling._TILED_CACHE) == maxsize
+        assert tiling._TILED_CACHE.get((gemm_spec.hil, (("k", 1),))) is None
 
 
 # ---------------------------------------------------------------------------
