@@ -35,7 +35,6 @@ bit-identical answers, since the engine is deterministic.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 from dataclasses import dataclass, field
@@ -43,10 +42,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..atlas import atlas_search
 from ..kernels import KERNEL_ORDER, get_kernel
-from ..machine import Context, get_machine
+from ..machine import Context, canon_machine
 from ..machine.config import MachineConfig
 from ..refcomp import ALL_COMPILERS
 from ..search import SearchResult, TuneConfig, TunedKernel, TuningSession
+from ..store import read_json, write_json
 
 #: column order of the paper's figures
 METHODS = ("gcc+ref", "icc+ref", "icc+prof", "ATLAS", "FKO", "ifko")
@@ -130,49 +130,39 @@ class ResultStore:
 
     def _load_disk(self, key) -> Optional[MethodResult]:
         path = self._disk_path(key)
-        if path is None or not path.exists():
+        data = read_json(path) if path is not None else None
+        if data is None:
             return None
         try:
-            data = json.loads(path.read_text())
             search = (SearchResult.from_dict(data["search"])
                       if data.get("search") else None)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError,
-                TypeError):
-            return None
-        return MethodResult(method=data["method"], kernel=data["kernel"],
-                            mflops=data["mflops"], cycles=data["cycles"],
-                            label=data.get("label", ""),
-                            starred=data.get("starred", False),
-                            search=search)
+            return MethodResult(method=data["method"],
+                                kernel=data["kernel"],
+                                mflops=float(data["mflops"]),
+                                cycles=float(data["cycles"]),
+                                label=data.get("label", ""),
+                                starred=data.get("starred", False),
+                                search=search)
+        except (KeyError, ValueError, TypeError, AttributeError):
+            return None   # incomplete row: recompute
 
     def _save_disk(self, key, result: MethodResult) -> None:
         path = self._disk_path(key)
         if path is None:
             return
-        data = {"method": result.method, "kernel": result.kernel,
-                "mflops": result.mflops, "cycles": result.cycles,
-                "label": result.label, "starred": result.starred,
-                "search": (result.search.to_dict()
-                           if result.search else None)}
-        path.write_text(json.dumps(data, indent=1))
+        write_json(path, {
+            "method": result.method, "kernel": result.kernel,
+            "mflops": result.mflops, "cycles": result.cycles,
+            "label": result.label, "starred": result.starred,
+            "search": result.search.to_dict() if result.search else None})
 
     # ------------------------------------------------------------------
     def n_for(self, context: Context) -> int:
         return self.sizes[context]
 
-    @staticmethod
-    def canon_machine(machine) -> str:
-        """The wire schema's machine canonicalization (alias fold
-        through ``get_machine``, lowercased) — store keys and disk tags
-        use it so every spelling of one machine shares one row, and the
-        tags agree with service digests and warm-start lookups instead
-        of diverging on case (``"P4E"`` vs ``"p4e"``)."""
-        name = getattr(machine, "name", machine)
-        return get_machine(str(name)).name.lower()
-
     def get(self, machine: MachineConfig, context: Context, kernel: str,
             method: str) -> MethodResult:
-        key = (self.canon_machine(machine), context, kernel, method)
+        key = (canon_machine(machine), context, kernel, method)
         if key not in self._cache:
             disk = self._load_disk(key)
             if disk is not None:

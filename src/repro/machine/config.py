@@ -272,3 +272,12 @@ def get_machine(name: str) -> MachineConfig:
     if key in ("opteron", "opt", "k8"):
         return opteron()
     raise KeyError(f"unknown machine {name!r}; known: p4e, opteron")
+
+
+def canon_machine(machine) -> str:
+    """The one canonical machine spelling: a name or alias (``"P4E"``,
+    ``"pentium4"``) or a :class:`MachineConfig`, folded through
+    :func:`get_machine` and lowercased.  Request digests, checkpoint
+    keys, experiment rows and warm-start lookups all key on it, so
+    every spelling of one machine shares one entry."""
+    return get_machine(str(getattr(machine, "name", machine))).name.lower()

@@ -28,7 +28,7 @@ run needs:
   identical inputs fault identically — nothing to retry at the
   evaluation grain);
 * **checkpoint/resume** of partially completed batches to a JSON state
-  file;
+  file (written and read through :mod:`repro.store`);
 * a JSON-lines **trace** (:mod:`repro.search.trace`) of every
   evaluation, cache hit and phase move;
 * graceful **fallback to serial** when ``jobs=1`` or the pool dies.
@@ -43,11 +43,7 @@ the transport layer's business — this session for in-process callers,
 from __future__ import annotations
 
 import concurrent.futures
-import json
-import os
-import pathlib
 import signal
-import tempfile
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -60,10 +56,11 @@ from ..fko import FKO, TransformParams
 from ..hil.tiling import nest_info
 from ..kernels import KERNEL_ORDER, REGISTRY, get_kernel
 from ..kernels.blas1 import KernelSpec
-from ..machine import Context, get_machine, summarize
+from ..machine import Context, canon_machine, get_machine, summarize
 from ..machine.config import MachineConfig
 from ..obs import metrics as _metrics
 from ..obs.core import Collector, use as _obs_use
+from ..store import read_json, write_json
 from ..timing.tester import test_kernel
 from ..timing.timer import Timer, paper_n
 from ..util import LRUCache
@@ -287,11 +284,9 @@ class TuningJob:
     def __post_init__(self):
         if isinstance(self.kernel, KernelSpec):
             self.kernel = self.kernel.name
-        if isinstance(self.machine, MachineConfig):
-            self.machine = self.machine.name
         # canonicalize aliases ("P4E", "pentium4", ...) so checkpoint
         # keys match however the job was constructed
-        self.machine = get_machine(self.machine).name.lower()
+        self.machine = canon_machine(self.machine)
         if isinstance(self.context, str):
             self.context = Context(self.context)
         if self.kernel not in REGISTRY:
@@ -791,7 +786,8 @@ class TuningSession:
             if key in completed:
                 try:
                     results[key] = TunedKernel.from_dict(completed[key])
-                except (ReproError, KeyError, ValueError, TypeError):
+                except (ReproError, KeyError, ValueError, TypeError,
+                        AttributeError):
                     pending.append(job)   # corrupt entry: recompute
                     continue
                 resumed.append(key)
@@ -869,31 +865,20 @@ class TuningSession:
 
     # -- checkpointing --------------------------------------------------
     def _load_checkpoint(self) -> Dict[str, Dict]:
-        path = self.config.resume
-        if not path or not os.path.exists(path):
+        """Completed results from ``config.resume``; anything that is
+        not a ``{"version", "completed": {key: dict}}`` object of this
+        code version counts as no checkpoint, and a non-dict entry as
+        not completed."""
+        state = read_json(self.config.resume) if self.config.resume else None
+        if state is None or state.get("version") != __version__:
+            return {}   # unreadable, or another code version: recompute
+        completed = state.get("completed")
+        if not isinstance(completed, dict):
             return {}
-        try:
-            state = json.loads(pathlib.Path(path).read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if state.get("version") != __version__:
-            return {}   # results from another code version: recompute
-        return dict(state.get("completed", {}))
+        return {key: entry for key, entry in completed.items()
+                if isinstance(entry, dict)}
 
     def _save_checkpoint(self, completed: Dict[str, Dict]) -> None:
-        path = self.config.resume
-        if not path:
-            return
-        target = pathlib.Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        state = {"version": __version__, "completed": completed}
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".ckpt-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(state, fh, indent=1)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        if self.config.resume:
+            write_json(self.config.resume,
+                       {"version": __version__, "completed": completed})

@@ -7,23 +7,23 @@ seeded from the same identity.  That makes evaluations perfectly
 cacheable *across runs and processes* — the way an ATLAS install
 records its search so a reinstall does not re-time the world.
 
-The cache is a directory of tiny JSON files named by the SHA-256 of the
-key tuple ``(hil_hash, machine, context, n, params.key(), __version__)``.
-One file per entry keeps concurrent writers trivially safe (each write
-is an atomic ``os.replace``), and including ``__version__`` in the key
-means stale entries are never reused across code changes — they are
-simply never looked up again.
+The cache is a :class:`repro.store.DigestDir` of tiny JSON files named
+by the SHA-256 of the key tuple ``(hil_hash, machine, context, n,
+params.key(), __version__)``.  One file per entry keeps concurrent
+writers trivially safe (the store's atomic write-then-rename), and
+including ``__version__`` in the key means stale entries are never
+reused across code changes — they are simply never looked up again.
+This class adds only the value rule: an entry is ``{"cycles": <finite
+float>, ...meta}``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import os
-import pathlib
-import tempfile
 from typing import Dict, Optional, Tuple
+
+from ..store import DigestDir
 
 
 def eval_key(hil: str, machine_name: str, context, n: int,
@@ -44,14 +44,7 @@ class EvalCache:
     """Disk dictionary: evaluation digest -> cycle count."""
 
     def __init__(self, root: str):
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    def _path(self, digest: str) -> pathlib.Path:
-        return self.root / digest[:2] / f"{digest}.json"
+        self.dir = DigestDir(root)
 
     def get(self, digest: str) -> Optional[float]:
         """Cycles for ``digest``, or None (corrupt entries count as
@@ -59,53 +52,24 @@ class EvalCache:
         counts are corrupt by definition — a NaN/inf served as a hit
         would poison every search that touches the entry — so they too
         count as misses and are recomputed."""
+        data = self.dir.get(digest)
         try:
-            data = json.loads(self._path(digest).read_text())
             cycles = float(data["cycles"])
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
+        except (KeyError, ValueError, TypeError):
             return None
-        if not math.isfinite(cycles):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return cycles
+        return cycles if math.isfinite(cycles) else None
 
     def put(self, digest: str, cycles: float,
             meta: Optional[Dict] = None) -> None:
-        """Record an evaluation.  Atomic (write-then-rename), so a
-        concurrent reader sees either nothing or the full entry.
-        Non-finite cycle counts are refused outright: failed
-        evaluations (``inf``) are not measurements, and persisting one
-        would poison searches across runs."""
+        """Record an evaluation; a concurrent reader sees either
+        nothing or the full entry.  Non-finite cycle counts are refused
+        outright: failed evaluations (``inf``) are not measurements,
+        and persisting one would poison searches across runs."""
         if not math.isfinite(cycles):
             return
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         data = dict(meta or {})
         data["cycles"] = float(cycles)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(data, fh)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return   # a cache that cannot write is merely cold
-        self.stores += 1
+        self.dir.put(digest, data)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def clear(self) -> int:
-        n = 0
-        for f in self.root.glob("*/*.json"):
-            try:
-                f.unlink()
-                n += 1
-            except OSError:
-                pass
-        return n
+        return len(self.dir)

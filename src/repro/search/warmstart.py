@@ -3,8 +3,8 @@
 The transfer searcher (ROADMAP item 1) seeds a search with the best
 known parameters of the nearest previously-tuned problem.  This module
 is the retrieval half: it reads a ``repro serve`` result-store
-directory (one JSON file per answered request — the layout
-:class:`repro.service.jobs.ServeResultStore` writes), recovers each
+directory (the :class:`repro.store.DigestDir` of answered requests
+that :class:`repro.service.jobs.ServeResultStore` writes), recovers each
 entry's (kernel, machine, context, n, best params), and ranks entries
 by a deterministic lexicographic distance to the query problem.
 
@@ -13,7 +13,7 @@ machine however the writer did (``TunedKernel.to_dict`` records the
 config's canonical-case name, e.g. ``"P4E"``; the wire schema
 lowercases to ``"p4e"``) and their context as either the enum value or
 a CLI short form.  Every spelling is folded through the *same* path the
-wire schema uses — ``get_machine(...).name.lower()`` and
+wire schema uses — :func:`repro.machine.canon_machine` and
 ``parse_context`` — on both the stored and the query side, and a
 missing problem size takes the wire's ``default_n``.  Without that, a
 result served by the daemon is invisible to an in-process warm-start of
@@ -30,14 +30,14 @@ processes and filesystems.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import pathlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..fko.params import TransformParams
+from ..machine import canon_machine
+from ..store import DigestDir
 
 __all__ = ["WarmEntry", "load_entries", "lookup_warm_start",
            "write_warm_entry"]
@@ -57,16 +57,9 @@ class WarmEntry:
     source: str                # file name (deterministic tiebreak)
 
 
-# -- canonicalization (the wire schema's own paths, imported lazily to
+# -- canonicalization (the machine spelling is repro.machine's
+#    canon_machine; the wire schema's own paths are imported lazily to
 #    keep repro.search free of an import cycle with repro.service) ------
-
-def canon_machine(machine) -> str:
-    """Machine spelling -> the wire schema's canonical form (alias fold
-    through ``get_machine``, lowercased)."""
-    from ..machine import get_machine
-    name = getattr(machine, "name", machine)
-    return get_machine(str(name)).name.lower()
-
 
 def canon_context(context) -> str:
     """Context spelling (enum, value string or CLI short form) -> the
@@ -97,13 +90,11 @@ def _kernel_base(kernel: str) -> str:
 
 # -- reading a store ----------------------------------------------------
 
-def _parse_entry(data, source: str) -> Optional[WarmEntry]:
-    """One store file -> a :class:`WarmEntry`, or None for anything
+def _parse_entry(data: Dict, source: str) -> Optional[WarmEntry]:
+    """One store object -> a :class:`WarmEntry`, or None for anything
     unusable (wrong shape, failed request, undecodable params).  Both
     the :class:`TuneResponse` envelope and a bare ``TunedKernel`` dict
     are accepted."""
-    if not isinstance(data, dict):
-        return None
     result = data.get("result") if isinstance(data.get("result"), dict) \
         else data
     kernel = result.get("kernel")
@@ -138,19 +129,9 @@ def load_entries(root) -> List[WarmEntry]:
     directory), in deterministic (sorted-path) order.  A missing or
     empty directory is an empty list, never an error — warm-starting is
     always best-effort."""
-    rootp = pathlib.Path(root)
-    if not rootp.is_dir():
-        return []
-    entries: List[WarmEntry] = []
-    for path in sorted(rootp.rglob("*.json")):
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        entry = _parse_entry(data, path.name)
-        if entry is not None:
-            entries.append(entry)
-    return entries
+    entries = (_parse_entry(data, path.name)
+               for path, data in DigestDir(root).entries())
+    return [entry for entry in entries if entry is not None]
 
 
 # -- the neighbor metric ------------------------------------------------
@@ -225,9 +206,7 @@ def write_warm_entry(root, kernel: str, machine, context, n,
                         "search": {"best_cycles": float(cycles)}}}
     if extra:
         entry["result"].update(extra)
-    target = pathlib.Path(root) / digest[:2] / f"{digest}.json"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_suffix(".tmp")
-    tmp.write_text(json.dumps(entry, indent=1, sort_keys=True))
-    os.replace(tmp, target)
-    return target
+    store = DigestDir(root)
+    if not store.put(digest, entry):
+        raise OSError(f"cannot write warm-start entry under {root}")
+    return store.path(digest)

@@ -27,10 +27,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
-import os
-import pathlib
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -39,11 +35,12 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import ReproError
 from ..fko import FKO, TransformParams
 from ..kernels import get_kernel
-from ..machine import Context, get_machine
+from ..machine import Context, canon_machine, get_machine
 from ..obs import metrics as _metrics
 from ..search.config import TuneConfig
 from ..search.engine import TuningSession
 from ..search.scheduler import BudgetLedger, FairQueue, InflightTable
+from ..store import DigestDir, read_json
 from .schema import TuneRequest, TuneResponse, history_digest
 
 #: job states
@@ -90,56 +87,31 @@ class ServeJob:
 class ServeResultStore:
     """Persistent request-digest -> :class:`TuneResponse` store.
 
-    The same one-tiny-JSON-file-per-entry shape as the evaluation cache
-    (atomic ``os.replace`` writes, digest-prefix subdirectories), one
+    The evaluation cache's :class:`~repro.store.DigestDir` layout one
     level up: where the eval cache remembers single candidate timings,
-    this remembers whole answered requests, so a daemon restart — or a
-    different daemon pointed at the same directory — keeps answering
-    repeats instantly."""
+    this remembers whole answered requests (``TuneResponse`` dicts), so
+    a daemon restart — or a different daemon pointed at the same
+    directory — keeps answering repeats instantly."""
 
     def __init__(self, root: str):
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, digest: str) -> pathlib.Path:
-        return self.root / digest[:2] / f"{digest}.json"
+        self.dir = DigestDir(root)
 
     def get(self, digest: str) -> Optional[Dict]:
-        try:
-            data = json.loads(self._path(digest).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        return data if isinstance(data, dict) else None
+        return self.dir.get(digest)
 
     def put(self, digest: str, response: TuneResponse) -> None:
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(response.to_dict(), fh)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        self.dir.put(digest, response.to_dict())
 
     def list(self, limit: Optional[int] = None) -> List[Dict]:
-        paths = sorted(self.root.glob("*/*.json"),
-                       key=lambda p: p.stat().st_mtime, reverse=True)
-        out = []
-        for p in paths[:limit] if limit else paths:
-            try:
-                data = json.loads(p.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(data, dict):
-                out.append(data)
-        return out
+        """Stored responses, newest first (ties in path order); only
+        the newest ``limit`` files are read."""
+        paths = sorted(self.dir.paths(), key=lambda p: p.stat().st_mtime,
+                       reverse=True)
+        return [data for data in map(read_json, paths[:limit or None])
+                if data is not None]
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return len(self.dir)
 
 
 class JobManager:
@@ -471,7 +443,7 @@ class JobManager:
         with self._compile_lock:
             self.compiles += 1
         _metrics.inc("repro_compiles_total")
-        return {"kernel": spec.name, "machine": mach.name.lower(),
+        return {"kernel": spec.name, "machine": canon_machine(mach),
                 "applied": list(compiled.applied),
                 "ir_digest": hashlib.sha256(text.encode()).hexdigest()}
 

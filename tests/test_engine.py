@@ -98,12 +98,12 @@ class TestEvalCache:
         cache.put("ab" * 32, 123.5, meta={"kernel": "ddot"})
         assert cache.get("ab" * 32) == 123.5
         assert len(cache) == 1
-        assert cache.hits == 1 and cache.stores == 1
+        assert EvalCache(str(tmp_path)).get("ab" * 32) == 123.5
 
     def test_absent_is_miss(self, tmp_path):
         cache = EvalCache(str(tmp_path))
         assert cache.get("cd" * 32) is None
-        assert cache.misses == 1
+        assert len(cache) == 0
 
     def test_corrupt_entry_is_miss(self, tmp_path):
         cache = EvalCache(str(tmp_path))
@@ -122,14 +122,14 @@ class TestEvalCache:
             f.write_text('{"cycles": %s}' % bad)
         fresh = EvalCache(str(tmp_path))
         assert fresh.get("ab" * 32) is None
-        assert fresh.misses == 1 and fresh.hits == 0
+        assert len(fresh) == 1 and fresh.get("ab" * 32) is None
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
     def test_nonfinite_put_refused(self, tmp_path, bad):
         cache = EvalCache(str(tmp_path))
         cache.put("cd" * 32, bad)
-        assert cache.stores == 0 and len(cache) == 0
+        assert len(cache) == 0 and not any(tmp_path.iterdir())
         assert cache.get("cd" * 32) is None
 
     def test_eval_key_sensitivity(self):
@@ -199,14 +199,26 @@ class TestCheckpointResume:
         assert not batch.resumed
         assert job.key() in batch.results
 
-    def test_corrupt_checkpoint_is_ignored(self, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b"{truncated",
+        b"[]",
+        b'"x"',
+        b"\xff\xfe{not utf-8",
+        b'{"version": "@V", "completed": []}',
+        b'{"version": "@V", "completed": {"@K": []}}',
+    ], ids=["truncated", "list", "string", "non-utf8", "completed-list",
+            "entry-list"])
+    def test_corrupt_checkpoint_is_ignored(self, tmp_path, content):
+        from repro import __version__
         state = tmp_path / "batch.json"
-        state.write_text("{truncated")
         job = TuningJob("ddot", "p4e", Context.OUT_OF_CACHE, N,
                         max_evals=EVALS)
+        state.write_bytes(content.replace(b"@V", __version__.encode())
+                          .replace(b"@K", job.key().encode()))
         with TuningSession(_config(resume=str(state))) as s:
             batch = s.run([job])
         assert job.key() in batch.results
+        assert not batch.resumed
 
 
 # ---------------------------------------------------------------------------

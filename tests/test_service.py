@@ -272,7 +272,7 @@ class TestServeResultStore:
 
     def test_corrupt_entry_is_skipped(self, tmp_path):
         store = ServeResultStore(str(tmp_path))
-        bad = store._path("cd" + "0" * 62)
+        bad = store.dir.path("cd" + "0" * 62)
         bad.parent.mkdir(parents=True, exist_ok=True)
         bad.write_text("NOT JSON")
         assert store.get("cd" + "0" * 62) is None

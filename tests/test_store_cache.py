@@ -38,11 +38,21 @@ class TestDiskCache:
         r2 = s2.get(pentium4e(), Context.IN_L2, "sscal", "ifko")
         assert r2.search is not None   # recomputed, not a summary
 
-    def test_corrupt_cache_file_ignored(self, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b"{ not json",
+        b"[]",
+        b"{}",
+        b"\xff\xfe not utf-8",
+        b'{"method": "FKO", "mflops": 1.0, "cycles": 2.0}',
+        b'{"method": "FKO", "kernel": "sscal", "cycles": 2.0}',
+        b'{"method": "FKO", "kernel": "sscal", "mflops": 1.0}',
+    ], ids=["truncated", "list", "empty", "non-utf8", "no-kernel",
+            "no-mflops", "no-cycles"])
+    def test_corrupt_cache_file_ignored(self, tmp_path, content):
         s = ResultStore(quick=True, cache_dir=str(tmp_path))
         s.get(pentium4e(), Context.IN_L2, "sscal", "FKO")
         f = next(tmp_path.glob("*.json"))
-        f.write_text("{ not json")
+        f.write_bytes(content)
         s2 = ResultStore(quick=True, cache_dir=str(tmp_path))
         r = s2.get(pentium4e(), Context.IN_L2, "sscal", "FKO")
         assert r.mflops > 0  # silently recomputed

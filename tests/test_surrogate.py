@@ -302,9 +302,10 @@ class TestWarmStartLookup:
 
     def test_malformed_entries_are_skipped(self, tmp_path):
         store = tmp_path / "store"
-        store.mkdir()
-        (store / "junk.json").write_text("{not json")
-        (store / "wrong.json").write_text(json.dumps({"schema": 1}))
+        (store / "ju").mkdir(parents=True)
+        (store / "wr").mkdir()
+        (store / "ju" / "junk.json").write_text("{not json")
+        (store / "wr" / "wrong.json").write_text(json.dumps({"schema": 1}))
         warm, source = lookup_warm_start(store, "ddot", "p4e", "oc")
         assert warm == [] and source == ""
 
