@@ -192,7 +192,6 @@ def _engine_config(args, run_tester: bool) -> TuneConfig:
                       jobs=args.jobs,
                       cache_dir=args.cache_dir,
                       trace=args.trace_out,
-                      timeout=args.timeout,
                       resume=getattr(args, "resume", None),
                       enable_block_fetch=getattr(args, "enable_block_fetch",
                                                  False),
@@ -232,8 +231,7 @@ def _tune_service(args) -> int:
             n=args.n, strategy=args.strategy, seed=args.seed,
             budget=args.max_evals, observe=args.observe,
             verify_ir=args.verify_ir,
-            enable_block_fetch=args.enable_block_fetch,
-            timeout=args.timeout, test=True)
+            enable_block_fetch=args.enable_block_fetch, test=True)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     config = _engine_config(args, run_tester=True)
@@ -295,7 +293,10 @@ def _tune_file_direct(args) -> int:
 
     config = _engine_config(args, run_tester=False)
     with TuningSession(config) as session:
-        tuned = session.tune(spec, machine, context, n)
+        try:
+            tuned = session.tune(spec, machine, context, n)
+        except ValueError as exc:   # e.g. n above MAX_N
+            raise SystemExit(f"error: {exc}")
     result = tuned.search
 
     print(f"# ifko: {args.kernel} on {machine.name}, {context.value}, N={n}")
@@ -338,7 +339,7 @@ def cmd_tune_all(args) -> int:
           f"in {batch.wall:.1f}s with jobs={args.jobs}")
     s = session.stats
     print(f"# evaluations: {s.evaluations} computed, {s.cache_hits} "
-          f"cache hits, {s.timeouts} timeouts, {s.faults} faults")
+          f"cache hits, {s.faults} faults")
     paths = {p: getattr(s, f"path_{p}") for p in TIMING_PATHS}
     print(f"# throughput: {s.throughput(batch.wall):.1f} evals/s, "
           f"cache hit rate {s.cache_hit_rate:.1%}, "
@@ -369,15 +370,15 @@ def _tune_all_via_serve(args, jobs) -> int:
     t0 = time.perf_counter()
     tickets = []
     for job in jobs:
-        request = TuneRequest(
-            kernel=job.kernel, machine=job.machine,
-            context=job.context, n=job.n,
-            strategy=args.strategy, seed=args.seed, budget=args.max_evals,
-            observe=args.observe, verify_ir=args.verify_ir,
-            timeout=args.timeout, test=args.test)
         try:
+            request = TuneRequest(
+                kernel=job.kernel, machine=job.machine,
+                context=job.context, n=job.n,
+                strategy=args.strategy, seed=args.seed,
+                budget=args.max_evals, observe=args.observe,
+                verify_ir=args.verify_ir, test=args.test)
             tickets.append((job, client.submit(request)))
-        except ServiceError as exc:
+        except (ValueError, ServiceError) as exc:
             raise SystemExit(f"error: {exc}")
     print(f"# tune-all via {client.url}: {len(jobs)} jobs submitted")
     errors = 0
@@ -650,8 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistent evaluation cache directory")
         p.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write a JSONL search trace to FILE")
-        p.add_argument("--timeout", type=float, default=None,
-                       help="wall-clock seconds allowed per evaluation")
         p.add_argument("--observe", action="store_true",
                        help="record pass-level compile spans and cycle "
                             "attribution into the trace (schema v2; "

@@ -1,10 +1,10 @@
 """Tuning configuration — the one options object for ifko runs.
 
 `tune_kernel` historically accreted positional keywords (``max_evals``,
-``space``, ``run_tester``, ``start``); the engine adds five more
-(``jobs``, ``cache_dir``, ``trace``, ``timeout``, ``resume``) and the
-strategy layer two more (``strategy``, ``seed``).  Rather than an
-eleven-keyword signature, everything that shapes *how* a search runs
+``space``, ``run_tester``, ``start``); the engine adds four more
+(``jobs``, ``cache_dir``, ``trace``, ``resume``) and the strategy layer
+two more (``strategy``, ``seed``).  Rather than a ten-keyword
+signature, everything that shapes *how* a search runs
 lives here, and the drivers take ``config=TuneConfig(...)`` — the only
 spelling (the pre-engine keyword shim was removed after its
 deprecation window).
@@ -44,8 +44,6 @@ class TuneConfig:
     #: path of a JSON-lines search trace (one event per evaluation /
     #: phase / cache hit); None disables tracing
     trace: Optional[str] = None
-    #: wall-clock seconds allowed per evaluation; None = unlimited
-    timeout: Optional[float] = None
     #: path of a batch checkpoint file: completed jobs are recorded
     #: there and skipped when the batch is re-run; None disables
     resume: Optional[str] = None
@@ -83,9 +81,6 @@ class TuneConfig:
                              f"got {self.max_evals}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, "
-                             f"got {self.timeout}")
         # a negative min_gain would make every candidate "win" (each
         # move only needs to beat best * (1 - min_gain) > best), so the
         # search would thrash between equivalent points

@@ -23,10 +23,13 @@ run needs:
 
 * a persistent content-addressed **evaluation cache**
   (:mod:`repro.search.evalcache`) shared across runs and processes;
-* per-evaluation **timeouts**; :class:`~repro.errors.SimulationFault`
-  is recorded immediately (the simulated machine is deterministic, so
-  identical inputs fault identically — nothing to retry at the
-  evaluation grain);
+* deterministic **failures**: a :class:`~repro.errors.SimulationFault`
+  is recorded once, as an ``inf`` candidate at the evaluation grain
+  and as a batch error at the job grain (the simulated machine is
+  deterministic, so identical inputs fault identically — nothing is
+  retried, and no wall-clock limit can change an outcome: the work of
+  one evaluation is bounded by construction, see
+  :data:`~repro.timing.timer.MAX_N`);
 * **checkpoint/resume** of partially completed batches to a JSON state
   file (written and read through :mod:`repro.store`);
 * a JSON-lines **trace** (:mod:`repro.search.trace`) of every
@@ -43,8 +46,6 @@ the transport layer's business — this session for in-process callers,
 from __future__ import annotations
 
 import concurrent.futures
-import signal
-import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -74,49 +75,17 @@ from .trace import TraceWriter
 
 
 # ---------------------------------------------------------------------------
-# one evaluation: compile + time, with timeout and retry
-
-class EvalTimeout(ReproError):
-    """An evaluation exceeded the configured per-evaluation timeout."""
-
-
-class _alarm:
-    """SIGALRM-based wall-clock guard around one evaluation.  A no-op
-    when no timeout is set, off the main thread, or on platforms
-    without SIGALRM (evaluations then simply run to completion)."""
-
-    def __init__(self, seconds: Optional[float]):
-        self.seconds = seconds
-        self.active = (seconds is not None and hasattr(signal, "SIGALRM")
-                       and threading.current_thread()
-                       is threading.main_thread())
-        self._prev = None
-
-    def __enter__(self):
-        if self.active:
-            def _raise(signum, frame):
-                raise EvalTimeout(f"evaluation exceeded {self.seconds}s")
-            self._prev = signal.signal(signal.SIGALRM, _raise)
-            signal.setitimer(signal.ITIMER_REAL, self.seconds)
-        return self
-
-    def __exit__(self, *exc):
-        if self.active:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, self._prev)
-        return False
-
+# one evaluation: compile + time
 
 def evaluate_params(fko: FKO, timer: Timer, hil: str,
                     params: TransformParams, flops: float,
                     ident_prefix: str,
-                    timeout: Optional[float] = None,
                     observe: bool = False,
                     verify_ir: bool = False) -> Tuple[float, str, Dict]:
     """One compile+time.  Returns ``(cycles, status, meta)`` where
-    status is ``ok`` | ``timeout`` | ``fault: ...``; failures come back
-    as ``inf`` cycles (the sweep just never picks them) instead of
-    killing a batch that has hours of work behind it.  ``meta["path"]``
+    status is ``ok`` | ``fault: ...``; a failure comes back as ``inf``
+    cycles (the sweep just never picks it) instead of killing a batch
+    that has hours of work behind it.  ``meta["path"]``
     names the timing path that produced the cycles (one of
     :data:`~repro.search.trace.TIMING_PATHS`; None on a failure).
 
@@ -139,40 +108,36 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
     of compiling and timing a doomed candidate twice."""
     col = Collector() if observe else None
     try:
-        with _alarm(timeout):
-            if col is not None:
-                with _obs_use(col):
-                    compiled = fko.compile(hil, params,
-                                           debug_verify=verify_ir)
-            else:
+        if col is not None:
+            with _obs_use(col):
                 compiled = fko.compile(hil, params, debug_verify=verify_ir)
-            # the share key asserts the compile's complete effective
-            # identity, letting the timer reuse the walk of an earlier
-            # bit-identical kernel (None when caching is disabled);
-            # on a memoized walk the summary itself is skipped — the
-            # shared key guarantees it would have been identical
-            share = fko.share_key(hil, params, debug_verify=verify_ir)
-            base = timer.peek_base(share)
-            path = "memo"
-            if base is None:
-                nest = nest_info(hil) if isinstance(hil, str) else None
-                if nest is not None:
-                    # the tuned loop is the innermost level of a full
-                    # nest: route through the analytic blocked-nest
-                    # model (the per-line walk cannot cover O(N^3))
-                    base = timer.base_nest(summarize(compiled.fn), nest,
-                                           params.tiles(), share)
-                    path = "nest"
-                else:
-                    base = timer.base(summarize(compiled.fn), share)
-                    path = ("replay" if base.stats.lines_extrapolated > 0
-                            else "walk")
-            timing = timer.finish(base, flops,
-                                  ident=f"{ident_prefix}{params.key()}")
+        else:
+            compiled = fko.compile(hil, params, debug_verify=verify_ir)
+        # the share key asserts the compile's complete effective
+        # identity, letting the timer reuse the walk of an earlier
+        # bit-identical kernel (None when caching is disabled);
+        # on a memoized walk the summary itself is skipped — the
+        # shared key guarantees it would have been identical
+        share = fko.share_key(hil, params, debug_verify=verify_ir)
+        base = timer.peek_base(share)
+        path = "memo"
+        if base is None:
+            nest = nest_info(hil) if isinstance(hil, str) else None
+            if nest is not None:
+                # the tuned loop is the innermost level of a full
+                # nest: route through the analytic blocked-nest
+                # model (the per-line walk cannot cover O(N^3))
+                base = timer.base_nest(summarize(compiled.fn), nest,
+                                       params.tiles(), share)
+                path = "nest"
+            else:
+                base = timer.base(summarize(compiled.fn), share)
+                path = ("replay" if base.stats.lines_extrapolated > 0
+                        else "walk")
+        timing = timer.finish(base, flops,
+                              ident=f"{ident_prefix}{params.key()}")
     except SimulationFault as exc:
         return float("inf"), f"fault: {exc}", {"path": None}
-    except EvalTimeout:
-        return float("inf"), "timeout", {"path": None}
     raw = timing.raw
     meta = {"path": path}
     if col is not None:
@@ -222,8 +187,8 @@ def _evaluate_list(fko: FKO, timer: Timer, payload: Dict) -> Dict:
         t0 = time.perf_counter()
         cycles, status, meta = evaluate_params(
             fko, timer, payload["hil"], params, payload["flops"],
-            payload["ident"], payload["timeout"],
-            observe=payload["observe"], verify_ir=payload["verify_ir"])
+            payload["ident"], observe=payload["observe"],
+            verify_ir=payload["verify_ir"])
         outcomes.append({"cycles": cycles, "status": status,
                          "wall": time.perf_counter() - t0,
                          "path": meta.get("path"),
@@ -330,7 +295,6 @@ class EngineStats:
 
     evaluations: int = 0      # real compile+time runs
     cache_hits: int = 0       # served from the persistent cache
-    timeouts: int = 0
     faults: int = 0           # evaluations lost to a SimulationFault
     # ok evaluations by timing path (see trace.TIMING_PATHS)
     path_walk: int = 0        # walked every line
@@ -418,8 +382,8 @@ class _Evaluator:
         return {"hil": self.spec.hil, "machine": self.machine.name,
                 "context": self.context.value, "n": self.n,
                 "flops": self.flops, "ident": self.ident,
-                "timeout": config.timeout, "observe": config.observe,
-                "verify_ir": config.verify_ir, "params": params}
+                "observe": config.observe, "verify_ir": config.verify_ir,
+                "params": params}
 
     _BATCH_KEYS = (("batch_prefix_hits", "repro_batch_prefix_hits_total"),
                    ("batch_prefix_misses", "repro_batch_prefix_misses_total"),
@@ -484,9 +448,7 @@ class _Evaluator:
         session = self.session
         c, status = outcome["cycles"], outcome["status"]
         session.stats.evaluations += 1
-        if status == "timeout":
-            session.stats.timeouts += 1
-        elif status != "ok":
+        if status != "ok":
             session.stats.faults += 1
         else:
             name = f"path_{outcome['path']}"
@@ -495,14 +457,13 @@ class _Evaluator:
             # recorded parent-side (whichever process computed the
             # outcome), so engine metrics are complete under fan-out
             _metrics.inc("repro_evaluations_total",
-                         status=("fault" if status.startswith("fault")
-                                 else status))
+                         status="ok" if status == "ok" else "fault")
             if status == "ok":
                 _metrics.inc("repro_eval_path_total", path=outcome["path"])
             _metrics.observe("repro_eval_wall_seconds",
                              float(outcome.get("wall") or 0.0))
-        # only completed measurements are worth remembering: a timeout
-        # may be transient, so the next run should try again
+        # only completed measurements are stored: a fault is recomputed
+        # (and re-faults identically) rather than cached as ``inf``
         if session.cache is not None and status == "ok":
             session.cache.put(digest, c, meta={"kernel": self.spec.name,
                                                "machine": self.machine.name,
@@ -796,7 +757,6 @@ class TuningSession:
             else:
                 pending.append(job)
 
-        retry_serially: List[TuningJob] = []
         pool = self.pool() if len(pending) > 1 else None
         if pool is not None:
             futures = {pool.submit(_job_worker, {"job": job.to_dict(),
@@ -806,17 +766,15 @@ class TuningSession:
                 for fut in concurrent.futures.as_completed(futures):
                     job = futures[fut]
                     outcome = fut.result()
-                    self._absorb(job, outcome, results, errors,
-                                 retry_serially, completed)
+                    self._absorb(job, outcome, results, errors, completed)
             except BrokenProcessPool:
                 self.mark_pool_broken()   # leftovers re-run serially below
 
         leftovers = [job for job in pending
                      if job.key() not in results
-                     and job.key() not in errors] + retry_serially
+                     and job.key() not in errors]
         for job in leftovers:
             key = job.key()
-            errors.pop(key, None)
             try:
                 tuned = self.tune(job.kernel, job.machine, job.context,
                                   job.n, max_evals=job.max_evals)
@@ -847,7 +805,6 @@ class TuningSession:
 
     def _absorb(self, job: TuningJob, outcome: Dict,
                 results: Dict[str, TunedKernel], errors: Dict[str, str],
-                retry_serially: List[TuningJob],
                 completed: Dict[str, Dict]) -> None:
         key = job.key()
         if self._trace is not None:
@@ -857,8 +814,6 @@ class TuningSession:
             results[key] = TunedKernel.from_dict(outcome["result"])
             completed[key] = outcome["result"]
             self._save_checkpoint(completed)
-        elif "SimulationFault" in (outcome.get("error") or ""):
-            retry_serially.append(job)   # the engine's retry-once, job grain
         else:
             errors[key] = outcome.get("error") or "unknown worker failure"
             self.emit("job-error", job=key, error=errors[key])

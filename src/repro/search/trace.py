@@ -24,10 +24,11 @@ pass         job, phase, params, pass (pipeline pass name), wall,
              ``ra.spill_loads``) — one per executed pass, emitted
              before the eval they belong to
 eval         job, phase, params (describe()), cycles, wall, status
-             (``ok`` | ``timeout`` | ``fault: ...``), path (the timing
-             path that produced the cycles, one of TIMING_PATHS; null
-             on a failure).  Traces written before ``path`` existed
-             carry ``fast`` instead (True when the replay fired)
+             (``ok`` | ``fault: ...``), path (the timing path that
+             produced the cycles, one of TIMING_PATHS; null on a
+             failure).  Traces written before ``path`` existed carry
+             ``fast`` instead (True when the replay fired), and older
+             traces may carry the retired status ``timeout``
 attribution  job, phase, params, total, compute, memory_stall,
              prefetch_waste, other, bus_busy, prefetch_issued/
              dropped/wasted, demand_misses, hw_prefetches, lines,

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -32,7 +34,7 @@ from ..machine import Context, canon_machine
 from ..search.config import TuneConfig
 from ..search.drivers import TunedKernel
 from ..search.linesearch import SearchResult
-from ..timing.timer import paper_n
+from ..timing.timer import MAX_N, paper_n
 from ..util import check_schema
 
 
@@ -63,6 +65,29 @@ def parse_context(value) -> Context:
     if v in ("ic", "inl2", "in-l2", "in-cache", "in-l2-cache"):
         return Context.IN_L2
     raise ValueError(f"unknown context {value!r}")
+
+
+def _whole(name: str, value) -> int:
+    """A wire integer: an integral number (``8e4`` included), finite,
+    and not a boolean."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _finite(name: str, value) -> float:
+    """A wire real: a finite number that is not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:   # an integer beyond float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def history_digest(search: Optional[SearchResult]) -> Optional[str]:
@@ -97,20 +122,30 @@ class TuneRequest:
     verify_ir: bool = False
     min_gain: float = 0.005
     enable_block_fetch: bool = False
-    timeout: Optional[float] = None
     test: bool = True
 
     def __post_init__(self):
+        # wire types first, so a malformed body is a ValueError /
+        # TypeError (a 400), never an error from deeper down
+        for name, kind in (("kernel", str), ("strategy", str),
+                           ("observe", bool), ("verify_ir", bool),
+                           ("enable_block_fetch", bool), ("test", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, "
+                                f"got {getattr(self, name)!r}")
+        self.seed = _whole("seed", self.seed)
+        self.budget = _whole("budget", self.budget)
+        self.min_gain = _finite("min_gain", self.min_gain)
         if self.kernel not in REGISTRY:
             raise ValueError(f"unknown kernel {self.kernel!r}; the "
                              f"service tunes registry kernels")
         self.machine = canon_machine(self.machine)
         ctx = parse_context(self.context)
         self.context = ctx.value
-        self.n = (int(self.n) if self.n is not None
+        self.n = (_whole("n", self.n) if self.n is not None
                   else default_n(self.kernel, ctx))
-        if self.n <= 0:
-            raise ValueError(f"n must be positive, got {self.n}")
+        if not 0 < self.n <= MAX_N:
+            raise ValueError(f"n must be in 1..{MAX_N}, got {self.n}")
         # borrow TuneConfig's validation for the search-shaping fields
         # (strategy registry membership, seed/budget/min_gain ranges)
         self.to_config()
@@ -120,12 +155,11 @@ class TuneRequest:
         """The digest-relevant fields in canonical form."""
         return {"kernel": self.kernel, "machine": self.machine,
                 "context": self.context, "n": self.n,
-                "strategy": self.strategy, "seed": int(self.seed),
-                "budget": int(self.budget), "observe": bool(self.observe),
-                "verify_ir": bool(self.verify_ir),
-                "min_gain": float(self.min_gain),
-                "enable_block_fetch": bool(self.enable_block_fetch),
-                "timeout": self.timeout, "test": bool(self.test)}
+                "strategy": self.strategy, "seed": self.seed,
+                "budget": self.budget, "observe": self.observe,
+                "verify_ir": self.verify_ir, "min_gain": self.min_gain,
+                "enable_block_fetch": self.enable_block_fetch,
+                "test": self.test}
 
     def digest(self) -> str:
         """Canonical request identity: every spelling of the same
@@ -148,13 +182,11 @@ class TuneRequest:
         daemon's own configuration."""
         base = base if base is not None else TuneConfig()
         return base.replace(
-            max_evals=int(self.budget), strategy=self.strategy,
-            seed=int(self.seed), observe=bool(self.observe),
-            verify_ir=bool(self.verify_ir),
-            min_gain=float(self.min_gain),
-            enable_block_fetch=bool(self.enable_block_fetch),
-            timeout=self.timeout, run_tester=bool(self.test),
-            space=None, start=None, resume=None)
+            max_evals=self.budget, strategy=self.strategy, seed=self.seed,
+            observe=self.observe, verify_ir=self.verify_ir,
+            min_gain=self.min_gain,
+            enable_block_fetch=self.enable_block_fetch,
+            run_tester=self.test, space=None, start=None, resume=None)
 
     def to_dict(self) -> Dict:
         return {"schema": 1, **self.canonical()}
@@ -169,8 +201,7 @@ class TuneRequest:
         kw = {}
         for name in ("kernel", "machine", "context", "n", "strategy",
                      "seed", "budget", "observe", "verify_ir",
-                     "min_gain", "enable_block_fetch",
-                     "timeout", "test"):
+                     "min_gain", "enable_block_fetch", "test"):
             if name in data:
                 kw[name] = data[name]
         if "budget" not in kw and "max_evals" in data:

@@ -1,7 +1,7 @@
 """Timers and testers — the feedback half of the empirical loop."""
 
-from .timer import KernelTiming, Timer, paper_n
+from .timer import MAX_N, KernelTiming, Timer, paper_n
 from .tester import (DEFAULT_SIZES, make_inputs, test_function, test_kernel)
 
-__all__ = ["KernelTiming", "Timer", "paper_n", "DEFAULT_SIZES",
+__all__ = ["KernelTiming", "MAX_N", "Timer", "paper_n", "DEFAULT_SIZES",
            "make_inputs", "test_function", "test_kernel"]

@@ -69,10 +69,20 @@ class KernelTiming:
                                      data.get("samples", [])])
 
 
+#: The largest problem size a timing accepts (125x the paper's
+#: out-of-cache N).  N is the one input that scales an evaluation —
+#: the steady-state replay is linear in N in time and memory — so it is
+#: bounded on work, not wall time, and fails identically on every host
+#: (DESIGN.md section 8, "Robustness").
+MAX_N = 10 ** 7
+
+
 class Timer:
     def __init__(self, machine: MachineConfig, context: Context,
                  n: int, repeats: int = 6, noise: float = 0.003,
                  fast: bool = True):
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
         self.machine = machine
         self.context = context
         self.n = n

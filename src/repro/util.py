@@ -70,7 +70,7 @@ def check_schema(data: dict, what: str) -> int:
     schema = data.get("schema", 1)
     try:
         schema = int(schema)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what}: bad schema field {schema!r}")
     if not 1 <= schema <= SCHEMA_VERSION:
         raise ValueError(f"{what}: unsupported schema {schema} "

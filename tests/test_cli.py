@@ -91,6 +91,16 @@ class TestTune:
         with pytest.raises(SystemExit, match="no @TUNE"):
             main(["tune", str(f), "--n", "100"])
 
+    def test_tune_has_no_timeout_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--timeout", "1", "ddot"])
+        assert exc.value.code == 2   # an argparse usage error
+
+    def test_tune_refuses_oversize_n(self):
+        from repro.timing import MAX_N
+        with pytest.raises(SystemExit, match="^error: .*n must be"):
+            main(["tune", "ddot", "--n", str(MAX_N + 1)])
+
     def test_tune_block_fetch_flag(self, capsys):
         rc, out, _ = run(capsys, "tune", "dcopy", "--n", "8000",
                          "--enable-block-fetch", "--max-evals", "80")

@@ -6,12 +6,21 @@ Covers the engine's contract surface:
 * the persistent evaluation cache (warm rerun = zero evaluations);
 * checkpoint/resume of a batch;
 * JSON round-trips of params / search results / tuned kernels;
-* robustness: retry-once on SimulationFault, per-eval timeouts;
+* robustness: a SimulationFault is terminal at both grains, killed
+  pool workers fall back to serial, a killed batch resumes;
 * the deprecation shim over the old tune_kernel keyword signature;
 * the JSONL trace and its summary.
 """
 
+import dataclasses
+import inspect
 import json
+import multiprocessing
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -222,7 +231,7 @@ class TestCheckpointResume:
 
 
 # ---------------------------------------------------------------------------
-# robustness: fault and timeout handling around one evaluation
+# robustness: fault handling around one evaluation
 
 class _FlakyFKO:
     """Delegates to a real FKO after raising N SimulationFaults."""
@@ -235,16 +244,6 @@ class _FlakyFKO:
         if self.failures > 0:
             self.failures -= 1
             raise SimulationFault("injected")
-        return self.real.compile(hil, params, debug_verify=debug_verify)
-
-
-class _SlowFKO:
-    def __init__(self, machine, delay):
-        self.real = FKO(machine)
-        self.delay = delay
-
-    def compile(self, hil, params=None, debug_verify=False):
-        time.sleep(self.delay)
         return self.real.compile(hil, params, debug_verify=debug_verify)
 
 
@@ -279,14 +278,186 @@ class TestRobustness:
             ddot_spec.flops(N), "ddot|")
         assert status.startswith("fault:") and meta["path"] is None
 
-    def test_timeout_returns_inf(self, p4e, ddot_spec):
-        fko = _SlowFKO(p4e, delay=0.5)
-        timer = Timer(p4e, Context.OUT_OF_CACHE, N)
-        cycles, status, _ = evaluate_params(
-            fko, timer, ddot_spec.hil, TransformParams(),
-            ddot_spec.flops(N), "ddot|", timeout=0.05)
-        assert cycles == float("inf")
-        assert status == "timeout"
+    def test_no_wall_clock_surface(self):
+        """Nothing that depends on the host's speed may decide an
+        outcome: no per-evaluation timeout in the config, and none in
+        the evaluation's signature."""
+        assert "timeout" not in {f.name for f in
+                                 dataclasses.fields(TuneConfig)}
+        assert "timeout" not in inspect.signature(evaluate_params).parameters
+        with pytest.raises(TypeError):
+            TuneConfig(timeout=1.0)
+
+    def test_problem_size_is_bounded(self, p4e):
+        """N is the one input that scales an evaluation; the timer
+        refuses an oversize problem before any work."""
+        from repro.timing import MAX_N
+        Timer(p4e, Context.OUT_OF_CACHE, MAX_N)
+        for n in (MAX_N + 1, 0, -5):   # -5 used to time as -1271 MFLOPS
+            with pytest.raises(ValueError, match="n must be in"):
+                Timer(p4e, Context.OUT_OF_CACHE, n)
+        with TuningSession(_config()) as s, \
+                pytest.raises(ValueError, match="n must be in"):
+            s.tune("ddot", "p4e", Context.OUT_OF_CACHE, MAX_N + 1)
+
+
+# ---------------------------------------------------------------------------
+# fault injection at the pool and batch grains.  The patches are made in
+# the parent before the pool forks, so workers inherit them; each one
+# acts only in a worker process (the serial fallback in the parent runs
+# the real code).
+
+_fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the parent's patches (fork start)")
+
+
+def _history_digest(tuned):
+    from repro.service import history_digest
+    return history_digest(tuned.search)
+
+
+def _events(path, name):
+    return [e for e in read_trace(str(path)) if e["event"] == name]
+
+
+@_fork_only
+class TestFaultInjection:
+    def test_worker_killed_mid_sweep_falls_back_to_serial(
+            self, monkeypatch, tmp_path, serial_ddot):
+        from repro.search import engine
+        parent, real = os.getpid(), engine.evaluate_params
+        calls = [0]   # per process: each forked worker counts its own
+
+        def dies_on_second_eval(*args, **kw):
+            if os.getpid() != parent:
+                calls[0] += 1
+                if calls[0] == 2:
+                    os._exit(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(engine, "evaluate_params", dies_on_second_eval)
+        trace = tmp_path / "t.jsonl"
+        with TuningSession(_config(jobs=2, trace=str(trace))) as s:
+            got = s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
+        assert len(_events(trace, "pool-broken")) == 1
+        assert s.scheduler.broken and s.stats.faults == 0
+        assert got.params.key() == serial_ddot.params.key()
+        assert got.search.best_cycles == serial_ddot.search.best_cycles
+        assert _history_digest(got) == _history_digest(serial_ddot)
+
+    def test_worker_killed_mid_batch_reruns_leftovers(self, monkeypatch,
+                                                      tmp_path):
+        jobs = [TuningJob(k, "p4e", Context.OUT_OF_CACHE, N, max_evals=20)
+                for k in ("ddot", "dasum", "dscal")]
+        with TuningSession(_config()) as s:
+            serial = s.run(jobs)
+        parent, real = os.getpid(), TuningSession.tune
+
+        def dies_on_dasum(self, spec, *args, **kw):
+            if os.getpid() != parent and spec == "dasum":
+                os._exit(1)
+            return real(self, spec, *args, **kw)
+
+        monkeypatch.setattr(TuningSession, "tune", dies_on_dasum)
+        trace = tmp_path / "t.jsonl"
+        with TuningSession(_config(jobs=2, trace=str(trace))) as s:
+            par = s.run(jobs)
+        assert len(_events(trace, "pool-broken")) == 1
+        assert not par.errors and not serial.errors
+        assert par.results.keys() == serial.results.keys()
+        for key, want in serial.results.items():
+            got = par[key]
+            assert got.params.key() == want.params.key()
+            assert got.search.best_cycles == want.search.best_cycles
+            assert got.timing.cycles == want.timing.cycles
+            assert _history_digest(got) == _history_digest(want)
+
+    def test_job_fault_is_recorded_once_not_rerun(self, monkeypatch,
+                                                  tmp_path):
+        """A SimulationFault at the job grain (here: the tester on the
+        winner) is deterministic, so it is an error of the batch, not a
+        reason to tune the whole job again in the parent."""
+        from repro.search import engine
+        real = engine.test_kernel
+
+        def faults_on_dasum(compiled, spec):
+            if spec.name == "dasum":
+                raise SimulationFault("injected tester fault")
+            return real(compiled, spec)
+
+        monkeypatch.setattr(engine, "test_kernel", faults_on_dasum)
+        jobs = [TuningJob(k, "p4e", Context.OUT_OF_CACHE, N, max_evals=12)
+                for k in ("ddot", "dasum")]
+        batches = {}
+        for n_jobs in (1, 2):
+            trace = tmp_path / f"t{n_jobs}.jsonl"
+            with TuningSession(_config(jobs=n_jobs, run_tester=True,
+                                       trace=str(trace))) as s:
+                batches[n_jobs] = s.run(jobs)
+            key = jobs[1].key()
+            starts = [e for e in _events(trace, "job-start")
+                      if e["job"] == key]
+            assert len(starts) == 1, n_jobs
+            assert len(_events(trace, "job-error")) == 1
+        assert batches[1].errors == batches[2].errors
+        assert list(batches[2].errors) == [jobs[1].key()]
+        assert "SimulationFault" in batches[2].errors[jobs[1].key()]
+        assert list(batches[2].results) == [jobs[0].key()]
+
+
+# ---------------------------------------------------------------------------
+# a batch killed by SIGTERM resumes from its checkpoint
+
+class TestKilledBatchResumes:
+    ARGS = ("tune-all", "--kernels", "ddot,dasum,dscal,daxpy,dcopy,sdot",
+            "--n", "4000", "--max-evals", "20")
+
+    def _cli(self, *extra):
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return [sys.executable, "-m", "repro", *self.ARGS, *extra], env
+
+    @staticmethod
+    def _completed(path):
+        try:
+            with open(path) as f:
+                return json.load(f)["completed"]
+        except (OSError, ValueError, KeyError):
+            return {}
+
+    def test_sigterm_then_resume_matches_uninterrupted(self, tmp_path):
+        clean_ck, ck = tmp_path / "clean.json", tmp_path / "ck.json"
+        cmd, env = self._cli("--resume", str(clean_ck))
+        subprocess.run(cmd, env=env, check=True, capture_output=True,
+                       timeout=300)
+        clean = self._completed(clean_ck)
+        assert len(clean) == 6
+
+        cmd, env = self._cli("--resume", str(ck))
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 300
+            while not self._completed(ck) and proc.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert proc.poll() is None, "batch finished before the kill"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        interrupted = self._completed(ck)
+        assert 1 <= len(interrupted) < 6
+
+        out = subprocess.run(cmd, env=env, check=True, capture_output=True,
+                             text=True, timeout=300).stdout
+        resumed = int(out.split("jobs (")[1].split(" resumed")[0])
+        assert resumed == len(interrupted) >= 1
+        assert self._completed(ck) == clean
 
 
 # ---------------------------------------------------------------------------

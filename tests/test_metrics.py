@@ -92,10 +92,10 @@ class TestMetricsRegistry:
         m.enable()
         m.inc("repro_evaluations_total", status="ok")
         m.inc("repro_evaluations_total", 2, status="ok")
-        m.inc("repro_evaluations_total", status="timeout")
+        m.inc("repro_evaluations_total", status="fault")
         series = m.snapshot()["counters"]["repro_evaluations_total"]
         assert _get(series, status="ok")["value"] == 3
-        assert _get(series, status="timeout")["value"] == 1
+        assert _get(series, status="fault")["value"] == 1
 
     def test_gauge_overwrites(self):
         m.enable()

@@ -18,8 +18,12 @@ The layering contract under test:
 
 import json
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import Context
 from repro.search import TuneConfig, TuningSession, read_trace
@@ -28,6 +32,7 @@ from repro.search.scheduler import (BudgetLedger, FairQueue, InflightTable,
 from repro.service import (BudgetExhaustedError, JobManager, ServeResultStore,
                            TuneRequest, TuneResponse, history_digest)
 from repro.service.daemon import start_server
+from repro.timing import MAX_N
 from repro.client import (LocalClient, ServeClient, ServiceError,
                           make_client)
 
@@ -102,6 +107,33 @@ class TestTuneRequestSchema:
             TuneRequest(kernel="nope")
         with pytest.raises(ValueError):
             _request(context="in-l9")
+
+    def test_timeout_is_not_part_of_the_request(self):
+        """The retired per-evaluation ``timeout`` is an unknown key like
+        any other: it parses, and it digests like the same request sent
+        without it."""
+        assert "timeout" not in _request().canonical()
+        old = dict(_request().to_dict(), timeout=0.004)
+        assert TuneRequest.from_dict(old).digest() == _request().digest()
+
+    def test_problem_size_is_bounded(self):
+        assert _request(n=MAX_N).n == MAX_N
+        with pytest.raises(ValueError, match="n must be"):
+            _request(n=MAX_N + 1)
+        assert _request(n=8e4).n == 80000   # an integral JSON float
+
+    @pytest.mark.parametrize("field, value", [
+        ("strategy", 5), ("strategy", None), ("n", float("inf")),
+        ("n", float("nan")), ("n", 4000.5), ("n", "4000"), ("n", True),
+        ("seed", float("inf")), ("budget", float("inf")),
+        ("budget", [EVALS]), ("observe", "no"), ("test", 1),
+        ("min_gain", float("nan")), ("min_gain", "0.1"),
+        ("min_gain", 10 ** 400), ("kernel", ["ddot"]), ("schema", 1e999)],
+        ids=lambda v: str(v)[:12])
+    def test_malformed_fields_are_refused(self, field, value):
+        body = dict(_request().to_dict(), **{field: value})
+        with pytest.raises((ValueError, TypeError)):
+            TuneRequest.from_dict(body)
 
     def test_to_config_keeps_operational_knobs(self, tmp_path):
         base = TuneConfig(jobs=3, cache_dir=str(tmp_path / "c"))
@@ -280,6 +312,34 @@ class TestServeResultStore:
 
 
 # ---------------------------------------------------------------------------
+# the wire parser over arbitrary JSON: a request or a 4xx-class error
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_WIRE_FIELDS = ("schema", "kernel", "machine", "context", "n", "strategy",
+                "seed", "budget", "max_evals", "observe", "verify_ir",
+                "min_gain", "enable_block_fetch", "test", "timeout")
+
+
+class TestWireFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(_WIRE_FIELDS), value=_json_values)
+    def test_from_dict_raises_only_request_errors(self, field, value):
+        body = {"schema": 1, "kernel": "dscal", "n": N, field: value}
+        try:
+            request = TuneRequest.from_dict(body)
+        except (ValueError, KeyError, TypeError):
+            return
+        assert isinstance(request, TuneRequest)
+        json.dumps(request.canonical(), allow_nan=False)
+        assert 0 < request.n <= MAX_N
+
+
+# ---------------------------------------------------------------------------
 # daemon: HTTP transport over the same job layer
 
 @pytest.fixture(scope="class")
@@ -355,10 +415,27 @@ class TestDaemon:
         results = client.results(limit=5)
         assert results and results[0]["digest"]
 
+    #: bodies that once answered 500 (AttributeError, OverflowError) or
+    #: were silently misread, plus the first oversize problem
+    MALFORMED = (b'{"schema": 1}',
+                 b'{"kernel": "ddot", "strategy": 5}',
+                 b'{"kernel": "ddot", "strategy": null}',
+                 b'{"kernel": "ddot", "n": Infinity}',
+                 b'{"kernel": "ddot", "seed": 1e999}',
+                 b'{"kernel": "ddot", "observe": "no"}',
+                 b'{"kernel": "ddot", "n": %d}' % (MAX_N + 1))
+
     def test_bad_requests_are_400s(self, daemon):
         client = ServeClient(daemon.url)
-        with pytest.raises(ServiceError, match="400"):
-            client._json("POST", "/v1/tune", {"schema": 1})
+        launched = client.stats()["launched"]
+        for body in self.MALFORMED:
+            req = urllib.request.Request(
+                daemon.url + "/v1/tune", data=body, method="POST",
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=30)
+            assert err.value.code == 400, body
+        assert client.stats()["launched"] == launched
         with pytest.raises(ServiceError, match="404"):
             client.job("j-999999")
         with pytest.raises(ServiceError, match="404"):
@@ -380,6 +457,39 @@ class TestDaemon:
         assert remote["ok"]
         assert remote["ir_digest"] == local["ir_digest"]
         assert remote["applied"] == local["applied"]
+
+
+class TestNoWallClockOutcome:
+    def test_pool_daemon_matches_serial_in_process(self):
+        """A ``jobs=2`` daemon and a ``jobs=1`` in-process session
+        answer one request identically, even when an old client still
+        sends the retired ``timeout`` (0.004 s is shorter than one
+        evaluation at this N, so a wall-clock limit would have decided
+        the answer)."""
+        n, budget = 80000, 60
+        with TuningSession(_config(max_evals=budget)) as s:
+            local = s.tune("ddot", "p4e", Context.OUT_OF_CACHE, n)
+            assert s.stats.faults == 0
+        body = {"schema": 1, "kernel": "ddot", "machine": "p4e",
+                "context": "out-of-cache", "n": n, "budget": budget,
+                "test": False, "timeout": 0.004}
+        handle = start_server("127.0.0.1", 0, autostart=False,
+                              config=_config(jobs=2, max_evals=budget))
+        with handle:
+            client = ServeClient(handle.url)
+            t1 = client._json("POST", "/v1/tune", body)
+            t2 = client.submit(TuneRequest.from_dict(
+                {k: v for k, v in body.items() if k != "timeout"}))
+            assert t1["how"] == "new" and t2["how"] == "coalesced"
+            assert t1["job_id"] == t2["job_id"]
+            handle.manager.start()
+            served = client.wait(t1["job_id"], timeout=300)
+        assert served.ok, served.error
+        assert served.stats.get("faults", 0) == 0
+        assert served.history_digest == history_digest(local.search)
+        tuned = served.tuned()
+        assert tuned.params.key() == local.params.key()
+        assert tuned.search.best_cycles == local.search.best_cycles
 
 
 class TestDaemonStaging:
